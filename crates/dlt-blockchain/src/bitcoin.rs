@@ -16,7 +16,7 @@ use dlt_crypto::keys::Address;
 use dlt_crypto::Digest;
 
 use crate::block::{Block, BlockHeader, LedgerTx};
-use crate::chain::{ChainStore, InsertOutcome};
+use crate::chain::{ChainError, ChainState, ChainStore, InsertOutcome};
 use crate::difficulty::RetargetParams;
 use crate::mempool::Mempool;
 use crate::utxo::{BlockUndo, UtxoError, UtxoLedger, UtxoTx};
@@ -50,33 +50,8 @@ impl Default for BitcoinParams {
     }
 }
 
-/// Errors surfaced when a block fails full (structural + UTXO)
-/// validation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BitcoinError {
-    /// Chain-structure rejection.
-    Structure(crate::chain::BlockError),
-    /// UTXO-semantics rejection (names the offending block).
-    Semantics {
-        /// The invalid block.
-        block: Digest,
-        /// The underlying UTXO error.
-        error: UtxoError,
-    },
-}
-
-impl std::fmt::Display for BitcoinError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BitcoinError::Structure(e) => write!(f, "structural rejection: {e}"),
-            BitcoinError::Semantics { block, error } => {
-                write!(f, "block {} invalid: {error}", block.short())
-            }
-        }
-    }
-}
-
-impl std::error::Error for BitcoinError {}
+/// Why a block failed full (structural + UTXO) validation.
+pub type BitcoinError = ChainError<UtxoError>;
 
 /// The assembled Bitcoin-like system.
 pub struct BitcoinChain {
@@ -102,20 +77,13 @@ impl BitcoinChain {
             .collect();
         let mut coinbase = UtxoTx::coinbase(0, 0, Address::ZERO);
         coinbase.outputs = outputs;
-        let genesis_header = BlockHeader {
-            parent: Digest::ZERO,
-            height: 0,
-            merkle_root: Digest::ZERO,
-            state_root: Digest::ZERO,
-            receipts_root: Digest::ZERO,
-            timestamp_micros: 0,
-            difficulty: 1,
-            nonce: 0,
-            gas_used: 0,
-            gas_limit: 0,
-            proposer: Address::ZERO,
-        };
-        let genesis = Block::new(genesis_header, vec![coinbase]);
+        let genesis = Block::new(
+            BlockHeader {
+                difficulty: 1,
+                ..BlockHeader::default()
+            },
+            vec![coinbase],
+        );
         let mut ledger = UtxoLedger::new();
         let total: u64 = allocations.iter().map(|(_, v)| *v).sum();
         let undo_genesis = ledger
@@ -223,17 +191,9 @@ impl BitcoinChain {
 
     fn header_template(&self, timestamp_micros: u64) -> BlockHeader {
         BlockHeader {
-            parent: Digest::ZERO,
-            height: 0,
-            merkle_root: Digest::ZERO,
-            state_root: Digest::ZERO,
-            receipts_root: Digest::ZERO,
             timestamp_micros,
             difficulty: 1,
-            nonce: 0,
-            gas_used: 0,
-            gas_limit: 0,
-            proposer: Address::ZERO,
+            ..BlockHeader::default()
         }
     }
 
@@ -245,117 +205,50 @@ impl BitcoinChain {
     ///
     /// Structurally invalid blocks and branches hiding semantic
     /// violations (double spends, bad signatures) are rejected; in the
-    /// latter case the offending branch is expunged and the previous
-    /// active chain restored.
+    /// latter case the offending block is expunged with its descendants
+    /// and the ledger follows the best remaining branch.
     pub fn receive_block(&mut self, block: Block<UtxoTx>) -> Result<InsertOutcome, BitcoinError> {
-        let outcome = self.chain.insert(block);
-        match &outcome {
-            InsertOutcome::Rejected(err) => return Err(BitcoinError::Structure(*err)),
-            InsertOutcome::Extended { applied, .. } => {
-                self.apply_branch(applied.clone(), Vec::new())?;
-            }
-            InsertOutcome::Reorged {
-                reverted, applied, ..
-            } => {
-                self.apply_branch(applied.clone(), reverted.clone())?;
-            }
-            InsertOutcome::SideChain | InsertOutcome::AwaitingParent | InsertOutcome::Duplicate => {
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// Reverts `reverted` (newest first) and applies `applied` (oldest
-    /// first) to the UTXO ledger; restores the old branch if the new
-    /// one is invalid.
-    fn apply_branch(
-        &mut self,
-        applied: Vec<Digest>,
-        reverted: Vec<Digest>,
-    ) -> Result<(), BitcoinError> {
-        // Roll back the abandoned branch.
-        for id in &reverted {
-            let undo = self
-                .undo
-                .remove(id)
-                .expect("active blocks always have undo data");
-            self.ledger.revert_block(undo);
-        }
-
-        // Apply the new branch, collecting undo as we go.
-        let mut done: Vec<Digest> = Vec::new();
-        let mut failure: Option<(Digest, UtxoError)> = None;
-        for id in &applied {
-            let block = self.chain.block(id).expect("applied blocks are stored");
-            match self.ledger.apply_block(&block.clone(), self.params.subsidy) {
-                Ok(undo) => {
-                    self.undo.insert(*id, undo);
-                    done.push(*id);
-                }
-                Err(err) => {
-                    failure = Some((*id, err));
-                    break;
-                }
-            }
-        }
-
-        if let Some((bad_block, error)) = failure {
-            // Unwind the partial application…
-            for id in done.iter().rev() {
-                let undo = self.undo.remove(id).expect("just inserted");
-                self.ledger.revert_block(undo);
-            }
-            // …drop the poisoned branch from the store…
-            self.chain.invalidate(&bad_block);
-            // …and restore the previously-active branch (it validated
-            // before, so this cannot fail).
-            for id in reverted.iter().rev() {
-                let block = self
-                    .chain
-                    .block(id)
-                    .expect("reverted blocks remain stored")
-                    .clone();
-                let undo = self
-                    .ledger
-                    .apply_block(&block, self.params.subsidy)
-                    .expect("previously active branch re-applies cleanly");
-                self.undo.insert(*id, undo);
-            }
-            return Err(BitcoinError::Semantics {
-                block: bad_block,
-                error,
-            });
-        }
-
-        // Mempool bookkeeping: orphaned txs return, confirmed txs leave.
-        let mut reinstated = Vec::new();
-        for id in &reverted {
-            if let Some(block) = self.chain.block(id) {
-                reinstated.extend(block.txs.iter().filter(|t| !t.is_coinbase()).cloned());
-            }
-        }
-        self.mempool.reinstate(reinstated);
-        for id in &applied {
-            if let Some(block) = self.chain.block(id) {
-                let ids: Vec<Digest> = block.txs.iter().map(LedgerTx::id).collect();
-                self.mempool.remove_confirmed(ids);
-            }
-        }
-        Ok(())
+        let mut state = UtxoState {
+            ledger: &mut self.ledger,
+            undo: &mut self.undo,
+            subsidy: self.params.subsidy,
+        };
+        self.chain.receive(block, &mut state, &mut self.mempool)
     }
 
     /// Whether a transaction is confirmed at the chain's configured
     /// depth: included in an active block with ≥ `confirmation_depth`
     /// confirmations (§IV-A).
     pub fn is_confirmed(&self, tx_id: &Digest) -> bool {
-        for (height, block_id) in self.chain.active_chain().iter().enumerate() {
-            let block = self.chain.block(block_id).expect("active blocks stored");
-            if block.txs.iter().any(|t| t.id() == *tx_id) {
-                let confs = self.chain.tip_height() - height as u64 + 1;
-                return confs >= self.params.confirmation_depth;
-            }
-        }
-        false
+        self.chain
+            .tx_confirmations(tx_id)
+            .is_some_and(|confs| confs >= self.params.confirmation_depth)
+    }
+}
+
+/// The UTXO set plus the undo data of every active block: the state a
+/// [`BitcoinChain`] moves along fork choice.
+struct UtxoState<'a> {
+    ledger: &'a mut UtxoLedger,
+    undo: &'a mut BTreeMap<Digest, BlockUndo>,
+    subsidy: u64,
+}
+
+impl ChainState<UtxoTx> for UtxoState<'_> {
+    type Error = UtxoError;
+
+    fn apply(&mut self, id: &Digest, block: &Block<UtxoTx>) -> Result<(), UtxoError> {
+        let undo = self.ledger.apply_block(block, self.subsidy)?;
+        self.undo.insert(*id, undo);
+        Ok(())
+    }
+
+    fn revert(&mut self, id: &Digest, _block: &Block<UtxoTx>) {
+        let undo = self
+            .undo
+            .remove(id)
+            .expect("active blocks always have undo data");
+        self.ledger.revert_block(undo);
     }
 }
 
@@ -500,6 +393,58 @@ mod tests {
         assert_eq!(chain.chain().tip(), honest.id());
         assert_eq!(chain.ledger().balance(&to), 100);
         assert_eq!(chain.ledger().balance(&attacker), 0);
+    }
+
+    #[test]
+    fn rejected_cascade_leaves_ledger_on_the_surviving_branch() {
+        let (mut chain, mut wallet, _) = setup(1000);
+        let genesis_id = chain.chain().genesis();
+        // Honest chain: a payment block and an empty block.
+        let shop = Address::from_label("shop");
+        let tx = wallet.build_transfer(chain.ledger(), shop, 100, 0).unwrap();
+        let tx_id = tx.id();
+        chain.submit_tx(tx.clone());
+        chain.mine_block(Address::from_label("miner"), 1_000_000);
+        chain.mine_block(Address::from_label("miner"), 2_000_000);
+
+        // Rival branch B1..B4 from genesis; B4 spends the payment's
+        // input twice.
+        let rival = Address::from_label("rival");
+        let mut branch: Vec<Block<UtxoTx>> = Vec::new();
+        for height in 1..=4u64 {
+            let parent = branch.last().map_or(genesis_id, Block::id);
+            let mut txs = vec![UtxoTx::coinbase(height, 50, rival)];
+            if height == 4 {
+                txs.extend([tx.clone(), tx.clone()]);
+            }
+            let header = BlockHeader {
+                parent,
+                height,
+                ..chain.header_template(10_000_000 + height)
+            };
+            branch.push(Block::new(header, txs));
+        }
+        let ids: Vec<Digest> = branch.iter().map(Block::id).collect();
+
+        // Deliver B4, B3, B2 (orphans), then B1 connects the cascade.
+        for block in branch.drain(1..).rev() {
+            assert_eq!(
+                chain.receive_block(block),
+                Ok(InsertOutcome::AwaitingParent)
+            );
+        }
+        let err = chain.receive_block(branch.remove(0)).unwrap_err();
+        assert!(matches!(err, BitcoinError::Semantics { block, .. } if block == ids[3]));
+
+        // B1..B3 still out-work the honest chain: the UTXO set must
+        // follow the store there, with the orphaned payment pending.
+        assert_eq!(chain.chain().tip(), ids[2]);
+        assert_eq!(chain.ledger().balance(&rival), 150);
+        assert_eq!(chain.ledger().balance(&shop), 0);
+        assert_eq!(chain.ledger().balance(&Address::from_label("miner")), 0);
+        assert_eq!(chain.ledger().total_value(), 1000 + 150);
+        assert!(chain.mempool().contains(&tx_id));
+        assert_eq!(chain.undo.len(), 4, "undo data for genesis and B1..B3");
     }
 
     #[test]

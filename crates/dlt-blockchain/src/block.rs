@@ -30,11 +30,18 @@ pub trait LedgerTx: Clone {
 
     /// Serialized size in bytes (ledger-size accounting, §V).
     fn encoded_size(&self) -> usize;
+
+    /// Whether this is a block reward, which dies with its block
+    /// instead of returning to the mempool.
+    fn is_coinbase(&self) -> bool {
+        false
+    }
 }
 
 /// A block header: everything needed to verify chain linkage and
-/// proof-of-work/stake without the transaction bodies.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// proof-of-work/stake without the transaction bodies. The default is
+/// all zeros; a chain sets the fields it uses.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlockHeader {
     /// Hash of the predecessor block ([`Digest::ZERO`] for genesis).
     pub parent: Digest,
@@ -139,17 +146,8 @@ impl<T: LedgerTx> Block<T> {
     pub fn empty_genesis() -> Self {
         Block::new(
             BlockHeader {
-                parent: Digest::ZERO,
-                height: 0,
-                merkle_root: Digest::ZERO,
-                state_root: Digest::ZERO,
-                receipts_root: Digest::ZERO,
-                timestamp_micros: 0,
                 difficulty: 1,
-                nonce: 0,
-                gas_used: 0,
-                gas_limit: 0,
-                proposer: Address::ZERO,
+                ..BlockHeader::default()
             },
             vec![],
         )
@@ -241,15 +239,9 @@ pub mod testsupport {
         BlockHeader {
             parent,
             height,
-            merkle_root: Digest::ZERO,
-            state_root: Digest::ZERO,
-            receipts_root: Digest::ZERO,
             timestamp_micros: height * 1_000_000,
             difficulty,
-            nonce: 0,
-            gas_used: 0,
-            gas_limit: 0,
-            proposer: Address::ZERO,
+            ..BlockHeader::default()
         }
     }
 }

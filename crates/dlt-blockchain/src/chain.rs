@@ -14,12 +14,17 @@
 //! Blocks that arrive before their parent wait in a bounded orphan
 //! pool and are connected when the parent shows up (out-of-order
 //! gossip delivery is routine in the simulations).
+//!
+//! Every ledger that follows fork choice — a UTXO set, a state-root
+//! index, or just a miner's mempool — moves with the tip through one
+//! routine, `ChainStore::follow_tip`.
 
 use std::collections::BTreeMap;
 
 use dlt_crypto::Digest;
 
 use crate::block::{Block, BlockHeader, LedgerTx};
+use crate::mempool::Mempool;
 use crate::pow::pow_valid;
 
 /// Why a block was rejected outright.
@@ -47,6 +52,34 @@ impl std::fmt::Display for BlockError {
 }
 
 impl std::error::Error for BlockError {}
+
+/// Why a full node refused a block: its structure, or the semantics
+/// its ledger checks (a UTXO double spend, a wrong state root, …).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ChainError<E> {
+    /// Chain-structure rejection.
+    Structure(BlockError),
+    /// Ledger-semantics rejection (names the offending block).
+    Semantics {
+        /// The invalid block.
+        block: Digest,
+        /// The underlying ledger error.
+        error: E,
+    },
+}
+
+impl<E: std::fmt::Display> std::fmt::Display for ChainError<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ChainError::Structure(e) => write!(f, "structural rejection: {e}"),
+            ChainError::Semantics { block, error } => {
+                write!(f, "block {} invalid: {error}", block.short())
+            }
+        }
+    }
+}
+
+impl<E: std::fmt::Debug + std::fmt::Display> std::error::Error for ChainError<E> {}
 
 /// The effect of inserting one block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,6 +115,45 @@ pub enum InsertOutcome {
     Duplicate,
     /// Structurally invalid; not stored.
     Rejected(BlockError),
+}
+
+/// Ledger state that follows a [`ChainStore`]'s active chain block by
+/// block. `()` is the state of structure-only nodes: every block
+/// applies and there is nothing to undo.
+pub(crate) trait ChainState<T> {
+    /// Why a block failed semantic validation.
+    type Error;
+
+    /// Moves the state from `block`'s parent onto `block` (`id` is its
+    /// id). On error the state must be left unchanged.
+    ///
+    /// # Errors
+    ///
+    /// The block is semantically invalid on top of its parent.
+    fn apply(&mut self, id: &Digest, block: &Block<T>) -> Result<(), Self::Error>;
+
+    /// Moves the state from `block` back onto its parent.
+    fn revert(&mut self, id: &Digest, block: &Block<T>);
+}
+
+impl<T> ChainState<T> for () {
+    type Error = std::convert::Infallible;
+
+    fn apply(&mut self, _: &Digest, _: &Block<T>) -> Result<(), Self::Error> {
+        Ok(())
+    }
+
+    fn revert(&mut self, _: &Digest, _: &Block<T>) {}
+}
+
+/// What [`ChainStore::follow_tip`] did besides moving the state.
+#[derive(Debug)]
+pub(crate) struct Followed<E> {
+    /// The first block that failed [`ChainState::apply`], with its
+    /// error.
+    pub(crate) rejected: Option<(Digest, E)>,
+    /// Every block the call removed from the store.
+    pub(crate) removed: Vec<Digest>,
 }
 
 struct StoredBlock<T> {
@@ -214,6 +286,17 @@ impl<T: LedgerTx> ChainStore<T> {
         Some(self.tip_height() - height + 1)
     }
 
+    /// Confirmation count of a transaction: [`confirmations`] of the
+    /// first active block that includes it. `None` while no active
+    /// block does.
+    ///
+    /// [`confirmations`]: ChainStore::confirmations
+    pub fn tx_confirmations(&self, tx_id: &Digest) -> Option<u64> {
+        self.iter_active()
+            .position(|block| block.txs.iter().any(|tx| tx.id() == *tx_id))
+            .map(|height| self.tip_height() - height as u64 + 1)
+    }
+
     /// Number of stored blocks *not* on the active chain — the
     /// orphaned/"stale" blocks of Fig. 4.
     pub fn stale_block_count(&self) -> usize {
@@ -322,26 +405,21 @@ impl<T: LedgerTx> ChainStore<T> {
 
     /// Rewrites the active chain so it ends at `new_tip`.
     fn switch_active_to(&mut self, new_tip: Digest) {
-        // Build the path from new_tip back to the first block already
-        // active at its height.
+        // Walk back from new_tip to the first block already active at
+        // its height (genesis always is).
         let mut path = Vec::new();
         let mut cursor = new_tip;
         loop {
-            let stored = &self.blocks[&cursor];
-            let height = stored.block.header.height as usize;
+            let header = &self.blocks[&cursor].block.header;
+            let height = header.height as usize;
             if self.active.get(height) == Some(&cursor) {
+                self.active.truncate(height + 1);
                 break;
             }
             path.push(cursor);
-            if cursor == self.genesis {
-                break;
-            }
-            cursor = stored.block.header.parent;
+            cursor = header.parent;
         }
-        path.reverse();
-        let fork_height = self.blocks[&path[0]].block.header.height as usize;
-        self.active.truncate(fork_height);
-        self.active.extend(path);
+        self.active.extend(path.into_iter().rev());
     }
 
     /// Describes how the tip moved relative to `old_tip`.
@@ -401,25 +479,121 @@ impl<T: LedgerTx> ChainStore<T> {
         for children in self.children.values_mut() {
             children.retain(|c| !removed.contains(c));
         }
-        // Rebuild the active chain from the best surviving block.
+        // Re-point the active chain at the best surviving block.
         let best = self
             .blocks
             .iter()
             .max_by_key(|(_, s)| (s.chainwork, std::cmp::Reverse(s.arrival)))
             .map(|(id, _)| *id)
             .expect("genesis always survives");
-        let mut path = Vec::new();
-        let mut cursor = best;
-        loop {
-            path.push(cursor);
-            if cursor == self.genesis {
-                break;
-            }
-            cursor = self.blocks[&cursor].block.header.parent;
-        }
-        path.reverse();
-        self.active = path;
+        self.switch_active_to(best);
         removed
+    }
+
+    /// [Inserts](ChainStore::insert) a block and moves `state` and
+    /// `mempool`, which reflect the current tip, to the resulting tip
+    /// with [`ChainStore::follow_tip`].
+    ///
+    /// # Errors
+    ///
+    /// Structurally invalid blocks are not stored. A branch hiding a
+    /// semantically invalid block loses that block and its descendants,
+    /// and the state follows the best remaining branch.
+    pub(crate) fn receive<S: ChainState<T>>(
+        &mut self,
+        block: Block<T>,
+        state: &mut S,
+        mempool: &mut Mempool<T>,
+    ) -> Result<InsertOutcome, ChainError<S::Error>> {
+        let from = self.tip();
+        let outcome = self.insert(block);
+        if let InsertOutcome::Rejected(err) = outcome {
+            return Err(ChainError::Structure(err));
+        }
+        match self.follow_tip(from, None, state, mempool).rejected {
+            Some((block, error)) => Err(ChainError::Semantics { block, error }),
+            None => Ok(outcome),
+        }
+    }
+
+    /// Moves `state` and `mempool` from `from` — the block they reflect
+    /// — to the active tip. Blocks leaving the active chain are reverted
+    /// newest first and their transactions, coinbases excepted, return
+    /// to the mempool (the paper's orphaned transactions); blocks
+    /// joining it are applied oldest first and their transactions leave
+    /// the mempool.
+    ///
+    /// A block that fails [`ChainState::apply`] is
+    /// [invalidated](ChainStore::invalidate) with its descendants, and
+    /// the state re-routes to whatever tip fork choice picks next.
+    /// `invalidate` names a block to expunge the same way before
+    /// routing (a finality violation, say); if the state reflects it or
+    /// a descendant, the state first steps back onto its parent.
+    ///
+    /// Afterwards `state` and `mempool` reflect [`ChainStore::tip`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is not a stored block.
+    pub(crate) fn follow_tip<S: ChainState<T>>(
+        &mut self,
+        from: Digest,
+        invalidate: Option<Digest>,
+        state: &mut S,
+        mempool: &mut Mempool<T>,
+    ) -> Followed<S::Error> {
+        let mut at = from;
+        let mut doomed = invalidate.filter(|id| *id != self.genesis);
+        let mut followed = Followed {
+            rejected: None,
+            removed: Vec::new(),
+        };
+        loop {
+            if let Some(bad) = doomed.take() {
+                if let Some(parent) = self.header(&bad).map(|h| h.parent) {
+                    if self.common_ancestor(&at, &bad) == Some(bad) {
+                        self.rewind(&mut at, parent, state, mempool);
+                    }
+                    followed.removed.extend(self.invalidate(&bad));
+                }
+            }
+            let tip = self.tip();
+            if at == tip {
+                return followed;
+            }
+            let fork = self
+                .common_ancestor(&at, &tip)
+                .expect("the followed block is stored");
+            self.rewind(&mut at, fork, state, mempool);
+            let fork_height = self.blocks[&fork].block.header.height as usize;
+            for &id in &self.active[fork_height + 1..] {
+                let block = &self.blocks[&id].block;
+                if let Err(error) = state.apply(&id, block) {
+                    followed.rejected.get_or_insert((id, error));
+                    doomed = Some(id);
+                    break;
+                }
+                mempool.remove_confirmed(block.txs.iter().map(LedgerTx::id));
+                at = id;
+            }
+        }
+    }
+
+    /// Reverts `state` from `*at` down to its ancestor `to`, returning
+    /// the reverted transactions to `mempool`.
+    fn rewind<S: ChainState<T>>(
+        &self,
+        at: &mut Digest,
+        to: Digest,
+        state: &mut S,
+        mempool: &mut Mempool<T>,
+    ) {
+        while *at != to {
+            let block = &self.blocks[at].block;
+            state.revert(at, block);
+            mempool.reinstate(block.txs.iter().filter(|tx| !tx.is_coinbase()).cloned());
+            *at = block.header.parent;
+        }
     }
 
     /// The lowest common ancestor of two known blocks.

@@ -26,7 +26,7 @@ use dlt_crypto::Digest;
 
 use crate::account::{receipts_root, AccountError, AccountTx, Receipt, StateDb};
 use crate::block::{Block, BlockHeader, LedgerTx};
-use crate::chain::{ChainStore, InsertOutcome};
+use crate::chain::{ChainError, ChainState, ChainStore, InsertOutcome};
 use crate::mempool::Mempool;
 
 /// Chain parameters (defaults follow the paper's Ethereum description).
@@ -61,32 +61,8 @@ impl Default for EthereumParams {
     }
 }
 
-/// Errors from full (structural + state) validation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EthereumError {
-    /// Chain-structure rejection.
-    Structure(crate::chain::BlockError),
-    /// State-execution rejection (names the offending block).
-    Semantics {
-        /// The invalid block.
-        block: Digest,
-        /// The underlying account-model error.
-        error: AccountError,
-    },
-}
-
-impl std::fmt::Display for EthereumError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EthereumError::Structure(e) => write!(f, "structural rejection: {e}"),
-            EthereumError::Semantics { block, error } => {
-                write!(f, "block {} invalid: {error}", block.short())
-            }
-        }
-    }
-}
-
-impl std::error::Error for EthereumError {}
+/// Why a block failed full (structural + state) validation.
+pub type EthereumError = ChainError<AccountError>;
 
 /// The assembled Ethereum-like system.
 pub struct EthereumChain {
@@ -110,17 +86,10 @@ impl EthereumChain {
             root = state.credit(root, address, *amount);
         }
         let genesis_header = BlockHeader {
-            parent: Digest::ZERO,
-            height: 0,
-            merkle_root: Digest::ZERO,
             state_root: root,
-            receipts_root: Digest::ZERO,
-            timestamp_micros: 0,
             difficulty: 1,
-            nonce: 0,
-            gas_used: 0,
             gas_limit: params.initial_gas_limit,
-            proposer: Address::ZERO,
+            ..BlockHeader::default()
         };
         let genesis = Block::new(genesis_header, vec![]);
         let genesis_id = genesis.id();
@@ -271,15 +240,12 @@ impl EthereumChain {
         let mut header = BlockHeader {
             parent: parent_id,
             height,
-            merkle_root: Digest::ZERO,
-            state_root: Digest::ZERO,
-            receipts_root: Digest::ZERO,
             timestamp_micros,
             difficulty: 1,
-            nonce: 0,
             gas_used,
             gas_limit,
             proposer: producer,
+            ..BlockHeader::default()
         };
         // Compute roots on a trial block with zero commitments.
         let trial = Block::new(header.clone(), included.clone());
@@ -302,77 +268,20 @@ impl EthereumChain {
     /// # Errors
     ///
     /// Structural rejections and branches that fail execution or root
-    /// commitments; the offending branch is expunged and the previous
-    /// chain restored.
+    /// commitments; the offending block is expunged with its
+    /// descendants and the chain follows the best remaining branch.
     pub fn receive_block(
         &mut self,
         block: Block<AccountTx>,
     ) -> Result<InsertOutcome, EthereumError> {
-        let outcome = self.chain.insert(block);
-        match &outcome {
-            InsertOutcome::Rejected(err) => return Err(EthereumError::Structure(*err)),
-            InsertOutcome::Extended { applied, .. } => {
-                self.validate_branch(applied.clone(), &[])?;
-            }
-            InsertOutcome::Reorged {
-                reverted, applied, ..
-            } => {
-                self.validate_branch(applied.clone(), reverted)?;
-            }
-            InsertOutcome::SideChain | InsertOutcome::AwaitingParent | InsertOutcome::Duplicate => {
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// Executes `applied` blocks oldest-first; on failure the branch is
-    /// invalidated (the persistent trie needs no rollback — old roots
-    /// never died).
-    fn validate_branch(
-        &mut self,
-        applied: Vec<Digest>,
-        reverted: &[Digest],
-    ) -> Result<(), EthereumError> {
-        for id in &applied {
-            if self.roots.contains_key(id) {
-                continue; // already validated on a previous adoption
-            }
-            let block = self
-                .chain
-                .block(id)
-                .expect("applied blocks are stored")
-                .clone();
-            let parent_root = self.roots[&block.header.parent];
-            let producer = block.header.proposer;
-            match self
-                .state
-                .apply_block(parent_root, &block, &producer, self.params.block_reward)
-            {
-                Ok((root, receipts)) => {
-                    self.roots.insert(*id, root);
-                    self.receipts.insert(*id, receipts);
-                }
-                Err(error) => {
-                    self.chain.invalidate(id);
-                    return Err(EthereumError::Semantics { block: *id, error });
-                }
-            }
-        }
-        // Mempool bookkeeping.
-        let mut reinstated = Vec::new();
-        for id in reverted {
-            if let Some(block) = self.chain.block(id) {
-                reinstated.extend(block.txs.iter().cloned());
-            }
-        }
-        self.mempool.reinstate(reinstated);
-        for id in &applied {
-            if let Some(block) = self.chain.block(id) {
-                let ids: Vec<Digest> = block.txs.iter().map(LedgerTx::id).collect();
-                self.mempool.remove_confirmed(ids);
-            }
-        }
-        Ok(())
+        let mut execution = Execution {
+            state: &mut self.state,
+            roots: &mut self.roots,
+            receipts: &mut self.receipts,
+            reward: self.params.block_reward,
+        };
+        // Blocks this rejects never executed, so have no roots to forget.
+        self.chain.receive(block, &mut execution, &mut self.mempool)
     }
 
     /// Drops state trie nodes unreachable from the newest `keep` active
@@ -442,9 +351,20 @@ impl EthereumChain {
 
     /// Expunges a block and its descendants, falling back to the best
     /// surviving branch (used by the PoS finality layer to undo a
-    /// reorg that violated a finalized checkpoint).
+    /// reorg that violated a finalized checkpoint). The transactions of
+    /// expunged active blocks return to the mempool.
     pub fn invalidate(&mut self, id: &Digest) -> Vec<Digest> {
-        let removed = self.chain.invalidate(id);
+        let from = self.chain.tip();
+        let mut execution = Execution {
+            state: &mut self.state,
+            roots: &mut self.roots,
+            receipts: &mut self.receipts,
+            reward: self.params.block_reward,
+        };
+        let removed = self
+            .chain
+            .follow_tip(from, Some(*id), &mut execution, &mut self.mempool)
+            .removed;
         for gone in &removed {
             self.roots.remove(gone);
             self.receipts.remove(gone);
@@ -454,15 +374,41 @@ impl EthereumChain {
 
     /// Whether a transaction is confirmed at the configured depth.
     pub fn is_confirmed(&self, tx_id: &Digest) -> bool {
-        for (height, block_id) in self.chain.active_chain().iter().enumerate() {
-            let block = self.chain.block(block_id).expect("active blocks stored");
-            if block.txs.iter().any(|t| t.id() == *tx_id) {
-                let confs = self.chain.tip_height() - height as u64 + 1;
-                return confs >= self.params.confirmation_depth;
-            }
-        }
-        false
+        self.chain
+            .tx_confirmations(tx_id)
+            .is_some_and(|confs| confs >= self.params.confirmation_depth)
     }
+}
+
+/// The state trie plus its per-block root and receipt index: the state
+/// an [`EthereumChain`] moves along fork choice. The trie is persistent,
+/// so reverting a block just stops pointing at its root, and a block
+/// that executed once never executes again.
+struct Execution<'a> {
+    state: &'a mut StateDb,
+    roots: &'a mut BTreeMap<Digest, Digest>,
+    receipts: &'a mut BTreeMap<Digest, Vec<Receipt>>,
+    reward: u64,
+}
+
+impl ChainState<AccountTx> for Execution<'_> {
+    type Error = AccountError;
+
+    fn apply(&mut self, id: &Digest, block: &Block<AccountTx>) -> Result<(), AccountError> {
+        if self.roots.contains_key(id) {
+            return Ok(());
+        }
+        let parent_root = self.roots[&block.header.parent];
+        let producer = block.header.proposer;
+        let (root, receipts) =
+            self.state
+                .apply_block(parent_root, block, &producer, self.reward)?;
+        self.roots.insert(*id, root);
+        self.receipts.insert(*id, receipts);
+        Ok(())
+    }
+
+    fn revert(&mut self, _id: &Digest, _block: &Block<AccountTx>) {}
 }
 
 /// The result of a fast sync: everything a freshly syncing node holds.
@@ -669,6 +615,69 @@ mod tests {
         // Chain fell back to genesis.
         assert_eq!(chain.chain().tip(), genesis_id);
         assert!(!chain.chain().contains(&bad_id));
+    }
+
+    #[test]
+    fn rejected_cascade_returns_orphaned_payment_to_mempool() {
+        let (mut chain, mut alice) = setup(100_000_000);
+        let genesis_id = chain.chain().genesis();
+        let bob = Address::from_label("bob");
+        // Honest chain: a payment block and an empty block.
+        let tx = alice.transfer(bob, 500, 1);
+        let tx_id = tx.id();
+        chain.submit_tx(tx);
+        chain.produce_block(Address::from_label("v"), 1);
+        chain.produce_block(Address::from_label("v"), 2);
+
+        // Rival branch B1..B4 of empty blocks from genesis; B4 commits
+        // to a wrong state root.
+        let rival = Address::from_label("rival");
+        let mut scratch = chain.state().clone();
+        let mut root = chain.roots[&genesis_id];
+        let mut branch: Vec<Block<AccountTx>> = Vec::new();
+        for height in 1..=4u64 {
+            root = scratch.credit(root, &rival, chain.params().block_reward);
+            let header = BlockHeader {
+                parent: branch.last().map_or(genesis_id, Block::id),
+                height,
+                state_root: if height == 4 {
+                    dlt_crypto::sha256::sha256(b"lie")
+                } else {
+                    root
+                },
+                timestamp_micros: 100 + height,
+                difficulty: 1,
+                gas_limit: 8_000_000,
+                proposer: rival,
+                ..BlockHeader::default()
+            };
+            branch.push(Block::new(header, vec![]));
+        }
+        let ids: Vec<Digest> = branch.iter().map(Block::id).collect();
+
+        // Deliver B4, B3, B2 (orphans), then B1 connects the cascade.
+        for block in branch.drain(1..).rev() {
+            assert_eq!(
+                chain.receive_block(block),
+                Ok(InsertOutcome::AwaitingParent)
+            );
+        }
+        let err = chain.receive_block(branch.remove(0)).unwrap_err();
+        assert_eq!(
+            err,
+            EthereumError::Semantics {
+                block: ids[3],
+                error: AccountError::StateRootMismatch
+            }
+        );
+
+        // The chain follows B1..B3; the orphaned payment is pending
+        // again, not lost.
+        assert_eq!(chain.chain().tip(), ids[2]);
+        assert_eq!(chain.balance(&bob), 0);
+        assert_eq!(chain.balance(&rival), 3 * chain.params().block_reward);
+        assert!(chain.mempool().contains(&tx_id));
+        assert_eq!(chain.chain().tx_confirmations(&tx_id), None);
     }
 
     #[test]

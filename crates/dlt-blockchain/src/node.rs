@@ -259,15 +259,9 @@ impl<T: LedgerTx> MinerNode<T> {
         let header = BlockHeader {
             parent: parent_id,
             height,
-            merkle_root: Digest::ZERO, // filled by Block::new
-            state_root: Digest::ZERO,
-            receipts_root: Digest::ZERO,
             timestamp_micros: ctx.now().as_micros(),
             difficulty,
-            nonce: 0,
-            gas_used: 0,
-            gas_limit: 0,
-            proposer: Address::ZERO,
+            ..BlockHeader::default()
         };
         let block = Block::new(header, txs);
         let id = block.id();
@@ -288,50 +282,24 @@ impl<T: LedgerTx> MinerNode<T> {
         T: Clone,
     {
         let m = self.handles();
-        let outcome = self.chain.insert(block);
-        match &outcome {
-            InsertOutcome::Extended { applied, .. } => {
-                for id in applied {
-                    self.confirm_txs(id);
-                }
+        match self.chain.receive(block, &mut (), &mut self.mempool) {
+            Ok(InsertOutcome::Extended { .. }) => {
                 ctx.metrics().inc(m.blocks_connected);
             }
-            InsertOutcome::Reorged {
-                reverted, applied, ..
-            } => {
+            Ok(InsertOutcome::Reorged { reverted, .. }) => {
                 ctx.metrics().inc(m.reorgs);
                 ctx.metrics().record(m.reorg_depth, reverted.len() as f64);
                 ctx.trace_mark("miner.reorg_depth", reverted.len() as u64);
                 self.deepest_reorg = self.deepest_reorg.max(reverted.len() as u64);
-                // Orphaned transactions go back to the pool first, then
-                // the new branch claims its own.
-                let mut reinstate = Vec::new();
-                for id in reverted {
-                    if let Some(block) = self.chain.block(id) {
-                        reinstate.extend(block.txs.iter().cloned());
-                    }
-                }
-                self.mempool.reinstate(reinstate);
-                for id in applied {
-                    self.confirm_txs(id);
-                }
             }
-            InsertOutcome::SideChain => {
+            Ok(InsertOutcome::SideChain) => {
                 ctx.metrics().inc(m.fork_blocks_observed);
             }
-            InsertOutcome::AwaitingParent => {
+            Ok(InsertOutcome::AwaitingParent) => {
                 ctx.metrics().inc(m.orphans_pooled);
             }
-            InsertOutcome::Duplicate | InsertOutcome::Rejected(_) => {}
+            Ok(InsertOutcome::Duplicate | InsertOutcome::Rejected(_)) | Err(_) => {}
         }
-    }
-
-    fn confirm_txs(&mut self, block_id: &Digest) {
-        let ids: Vec<Digest> = match self.chain.block(block_id) {
-            Some(block) => block.txs.iter().map(LedgerTx::id).collect(),
-            None => return,
-        };
-        self.mempool.remove_confirmed(ids);
     }
 }
 

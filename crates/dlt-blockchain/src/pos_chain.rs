@@ -50,6 +50,9 @@ pub enum PosChainError {
     RevertsFinalized,
     /// No validator has stake — no blocks can be proposed.
     NoValidators,
+    /// The proposer already signed a different block for this slot; it
+    /// has been slashed and the block is refused.
+    Equivocation(EquivocationEvidence),
     /// The underlying chain rejected the block.
     Chain(EthereumError),
 }
@@ -62,6 +65,11 @@ impl std::fmt::Display for PosChainError {
             }
             PosChainError::RevertsFinalized => f.write_str("reorg would revert a finalized block"),
             PosChainError::NoValidators => f.write_str("no staked validators"),
+            PosChainError::Equivocation(evidence) => write!(
+                f,
+                "{} equivocated in slot {}",
+                evidence.proposer, evidence.slot
+            ),
             PosChainError::Chain(e) => write!(f, "chain rejection: {e}"),
         }
     }
@@ -233,9 +241,7 @@ impl PosChain {
             self.slash_for(&evidence);
             // The equivocating block is still structurally processable;
             // real designs orphan it — we reject it outright.
-            return Err(PosChainError::Chain(EthereumError::Structure(
-                crate::chain::BlockError::UnexpectedGenesis,
-            )));
+            return Err(PosChainError::Equivocation(evidence));
         }
 
         // Finality veto BEFORE fork choice can switch: if this block's
@@ -246,15 +252,10 @@ impl PosChain {
             let new_work = parent_work + u128::from(block.header.difficulty);
             let tip_work = store.chainwork(&store.tip()).expect("tip is stored");
             if new_work > tip_work && !store.is_active(&block.header.parent) {
-                // Walk to the fork point.
-                let mut cursor = block.header.parent;
-                while !store.is_active(&cursor) {
-                    cursor = store
-                        .header(&cursor)
-                        .expect("side-branch ancestors are stored")
-                        .parent;
-                }
-                let fork_height = store.header(&cursor).expect("active").height;
+                let fork = store
+                    .common_ancestor(&block.header.parent, &store.tip())
+                    .expect("parent and tip are stored");
+                let fork_height = store.header(&fork).expect("fork point is stored").height;
                 if fork_height < self.finalized_height {
                     return Err(PosChainError::RevertsFinalized);
                 }
@@ -309,6 +310,7 @@ impl PosChain {
 mod tests {
     use super::*;
     use crate::account::AccountHolder;
+    use crate::block::LedgerTx;
 
     fn setup(epoch_length: u64) -> (PosChain, AccountHolder) {
         setup_with_validators(epoch_length, 4)
@@ -402,6 +404,45 @@ mod tests {
     }
 
     #[test]
+    fn finality_rollback_keeps_mempool_disjoint_from_chain() {
+        // Honest chain with a payment in every block, finalized past
+        // height 2.
+        let (mut chain, mut alice) = setup_with_validators(2, 1);
+        for slot in 1..=6u64 {
+            chain.submit_tx(alice.transfer(Address::from_label("bob"), 10, 1));
+            chain.advance_slot(slot).unwrap();
+        }
+        assert!(chain.finalized_height() >= 2);
+        let honest_tip = chain.chain().chain().tip();
+
+        // A longer rival branch delivered newest first: it waits as
+        // orphans, so only the post-hoc finality check can catch the
+        // reorg its first block triggers.
+        let (mut rival, mut rival_alice) = setup_with_validators(2, 1);
+        rival.submit_tx(rival_alice.transfer(Address::from_label("carol"), 1, 1));
+        for slot in 1..=8u64 {
+            rival.advance_slot(slot).unwrap();
+        }
+        let rival_active = rival.chain().chain().active_chain().to_vec();
+        let mut last = None;
+        for (height, id) in rival_active.iter().enumerate().skip(1).rev() {
+            let block = rival.chain().chain().block(id).unwrap().clone();
+            last = Some(chain.receive_block(block, 100 + height as u64));
+        }
+        assert_eq!(last, Some(Err(PosChainError::RevertsFinalized)));
+
+        // The honest chain is back and nothing on it is still pending.
+        let store = chain.chain().chain();
+        assert_eq!(store.tip(), honest_tip);
+        let mempool = chain.chain().mempool();
+        for block in store.iter_active() {
+            for tx in &block.txs {
+                assert!(!mempool.contains(&tx.id()), "active tx still pending");
+            }
+        }
+    }
+
+    #[test]
     fn equivocation_is_slashed_on_receive() {
         let (mut chain, _) = setup(8);
         let slot = 1u64;
@@ -418,8 +459,15 @@ mod tests {
             .clone();
         second.header.timestamp_micros += 1;
         let second = Block::new(second.header.clone(), second.txs.clone());
-        let result = chain.receive_block(second, slot);
-        assert!(result.is_err());
+        let second_id = second.id();
+        match chain.receive_block(second, slot) {
+            Err(PosChainError::Equivocation(evidence)) => {
+                assert_eq!(evidence.proposer, proposer);
+                assert_eq!(evidence.slot, slot);
+                assert_eq!(evidence.second, second_id);
+            }
+            other => panic!("expected an equivocation error, got {other:?}"),
+        }
         assert!(chain.ffg().validators().is_slashed(&proposer));
         assert!(chain.ffg().validators().total_stake() < stake_before);
     }

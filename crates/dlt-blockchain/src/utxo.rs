@@ -134,11 +134,6 @@ impl UtxoTx {
         }
     }
 
-    /// Whether this is a coinbase transaction.
-    pub fn is_coinbase(&self) -> bool {
-        self.inputs.is_empty()
-    }
-
     /// The message each input's key signs: a hash over the outpoints,
     /// outputs and declared fee (the ownership proofs themselves are
     /// excluded, like Bitcoin blanks scriptSigs while signing).
@@ -211,6 +206,10 @@ impl LedgerTx for UtxoTx {
     }
     fn encoded_size(&self) -> usize {
         self.encoded_len()
+    }
+    /// A coinbase is the transaction without inputs.
+    fn is_coinbase(&self) -> bool {
+        self.inputs.is_empty()
     }
 }
 

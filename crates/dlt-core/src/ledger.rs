@@ -17,9 +17,13 @@
 //! and produces the [`WorkloadReport`] rows the §V/§VI experiments
 //! print.
 
+use dlt_blockchain::account::{AccountHolder, AccountTx};
 use dlt_blockchain::bitcoin::{BitcoinChain, BitcoinParams};
+use dlt_blockchain::block::LedgerTx;
+use dlt_blockchain::chain::ChainStore;
 use dlt_blockchain::ethereum::{EthereumChain, EthereumParams};
-use dlt_blockchain::utxo::Wallet;
+use dlt_blockchain::mempool::Mempool;
+use dlt_blockchain::utxo::{UtxoTx, Wallet};
 use dlt_crypto::keys::Address;
 use dlt_crypto::Digest;
 use dlt_dag::account::NanoAccount;
@@ -85,20 +89,155 @@ pub trait DistributedLedger {
 }
 
 // ---------------------------------------------------------------------
-// Bitcoin adapter
+// Chain adapters
 // ---------------------------------------------------------------------
 
-/// [`DistributedLedger`] over the Bitcoin-like UTXO chain.
-pub struct BitcoinAdapter {
-    chain: BitcoinChain,
-    wallets: Vec<Wallet>,
-    actor_addresses: Vec<Vec<Address>>,
-    miner: Address,
+/// What the shared [`ChainAdapter`] body needs from a reference chain:
+/// block production, the actors' keys, and the chain's own reading of
+/// "confirmed" and "ledger size". Everything else — the block clock,
+/// the tickets, `status()` and `stats()` — is common.
+pub trait WorkloadChain {
+    /// The chain's transaction type.
+    type Tx: LedgerTx;
+    /// One workload actor's signing keys.
+    type Keys;
+    /// Report-row name.
+    const NAME: &'static str;
+    /// Label of the address collecting block rewards.
+    const PRODUCER: &'static str;
+
+    /// Builds a signed transfer of `amount` from actor `from` to actor
+    /// `to`, or `None` if `from` cannot pay.
+    fn build_transfer(
+        &self,
+        keys: &mut [Self::Keys],
+        from: usize,
+        to: usize,
+        amount: u64,
+    ) -> Option<Self::Tx>;
+    /// Offers a transaction to the mempool.
+    fn submit(&mut self, tx: Self::Tx) -> bool;
+    /// Produces one block on the tip, crediting `producer`.
+    fn produce(&mut self, producer: Address, timestamp_micros: u64);
+    /// The block store.
+    fn store(&self) -> &ChainStore<Self::Tx>;
+    /// The mempool.
+    fn mempool(&self) -> &Mempool<Self::Tx>;
+    /// Confirmations a transaction needs to count as confirmed.
+    fn confirmation_depth(&self) -> u64;
+    /// What a historical node stores, in bytes: by default the blocks.
+    fn ledger_bytes(&self) -> usize {
+        self.store().total_bytes()
+    }
+}
+
+impl WorkloadChain for BitcoinChain {
+    type Tx = UtxoTx;
+    type Keys = Wallet;
+    const NAME: &'static str = "bitcoin-like";
+    const PRODUCER: &'static str = "workload-miner";
+
+    fn build_transfer(
+        &self,
+        wallets: &mut [Wallet],
+        from: usize,
+        to: usize,
+        amount: u64,
+    ) -> Option<UtxoTx> {
+        let recipient = wallets[to].new_address();
+        wallets[from].build_transfer(self.ledger(), recipient, amount, 1)
+    }
+    fn submit(&mut self, tx: UtxoTx) -> bool {
+        self.submit_tx(tx)
+    }
+    fn produce(&mut self, producer: Address, timestamp_micros: u64) {
+        self.mine_block(producer, timestamp_micros);
+    }
+    fn store(&self) -> &ChainStore<UtxoTx> {
+        self.chain()
+    }
+    fn mempool(&self) -> &Mempool<UtxoTx> {
+        self.mempool()
+    }
+    fn confirmation_depth(&self) -> u64 {
+        self.params().confirmation_depth
+    }
+}
+
+impl WorkloadChain for EthereumChain {
+    type Tx = AccountTx;
+    type Keys = AccountHolder;
+    const NAME: &'static str = "ethereum-like";
+    const PRODUCER: &'static str = "workload-validator";
+
+    fn build_transfer(
+        &self,
+        holders: &mut [AccountHolder],
+        from: usize,
+        to: usize,
+        amount: u64,
+    ) -> Option<AccountTx> {
+        if holders[from].remaining_signatures() == 0 {
+            return None;
+        }
+        let to_address = holders[to].address();
+        Some(holders[from].transfer(to_address, amount, 1))
+    }
+    fn submit(&mut self, tx: AccountTx) -> bool {
+        self.submit_tx(tx)
+    }
+    fn produce(&mut self, producer: Address, timestamp_micros: u64) {
+        self.produce_block(producer, timestamp_micros);
+    }
+    fn store(&self) -> &ChainStore<AccountTx> {
+        self.chain()
+    }
+    fn mempool(&self) -> &Mempool<AccountTx> {
+        self.mempool()
+    }
+    fn confirmation_depth(&self) -> u64 {
+        self.params().confirmation_depth
+    }
+    fn ledger_bytes(&self) -> usize {
+        self.chain().total_bytes() + self.state().trie().total_bytes()
+    }
+}
+
+/// [`DistributedLedger`] over a reference chain: one block every
+/// `block_interval` of simulated time.
+pub struct ChainAdapter<C: WorkloadChain> {
+    chain: C,
+    keys: Vec<C::Keys>,
+    producer: Address,
     elapsed: SimTime,
     next_block_at: SimTime,
     block_interval: SimTime,
-    submitted: u64,
     tickets: Vec<Digest>,
+}
+
+/// [`DistributedLedger`] over the Bitcoin-like UTXO chain.
+pub type BitcoinAdapter = ChainAdapter<BitcoinChain>;
+
+/// [`DistributedLedger`] over the Ethereum-like account chain.
+pub type EthereumAdapter = ChainAdapter<EthereumChain>;
+
+impl<C: WorkloadChain> ChainAdapter<C> {
+    fn with_chain(chain: C, keys: Vec<C::Keys>, block_interval: SimTime) -> Self {
+        ChainAdapter {
+            chain,
+            keys,
+            producer: Address::from_label(C::PRODUCER),
+            elapsed: SimTime::ZERO,
+            next_block_at: block_interval,
+            block_interval,
+            tickets: Vec::new(),
+        }
+    }
+
+    /// The wrapped chain (post-run inspection).
+    pub fn chain(&self) -> &C {
+        &self.chain
+    }
 }
 
 impl BitcoinAdapter {
@@ -117,118 +256,14 @@ impl BitcoinAdapter {
             .map(|i| Wallet::new(seed.wrapping_add(i as u64)))
             .collect();
         let mut allocations = Vec::new();
-        let mut actor_addresses = vec![Vec::new(); actors];
-        for (i, wallet) in wallets.iter_mut().enumerate() {
+        for wallet in &mut wallets {
             for _ in 0..outputs_per_actor {
-                let address = wallet.new_address();
-                actor_addresses[i].push(address);
-                allocations.push((address, funds_per_output));
+                allocations.push((wallet.new_address(), funds_per_output));
             }
         }
         let chain = BitcoinChain::new(params, &allocations);
-        BitcoinAdapter {
-            chain,
-            wallets,
-            actor_addresses,
-            miner: Address::from_label("workload-miner"),
-            elapsed: SimTime::ZERO,
-            next_block_at: block_interval,
-            block_interval,
-            submitted: 0,
-            tickets: Vec::new(),
-        }
+        ChainAdapter::with_chain(chain, wallets, block_interval)
     }
-
-    /// The wrapped chain (post-run inspection).
-    pub fn chain(&self) -> &BitcoinChain {
-        &self.chain
-    }
-}
-
-impl DistributedLedger for BitcoinAdapter {
-    fn name(&self) -> &'static str {
-        "bitcoin-like"
-    }
-
-    fn actor_count(&self) -> usize {
-        self.wallets.len()
-    }
-
-    fn submit_transfer(&mut self, from: usize, to: usize, amount: u64) -> Option<Digest> {
-        let recipient = self.wallets[to].new_address();
-        self.actor_addresses[to].push(recipient);
-        let tx = self.wallets[from].build_transfer(self.chain.ledger(), recipient, amount, 1)?;
-        let id = dlt_blockchain::block::LedgerTx::id(&tx);
-        if self.chain.submit_tx(tx) {
-            self.submitted += 1;
-            self.tickets.push(id);
-            Some(id)
-        } else {
-            None
-        }
-    }
-
-    fn advance(&mut self, dt: SimTime) {
-        self.elapsed += dt;
-        while self.elapsed >= self.next_block_at {
-            self.chain
-                .mine_block(self.miner, self.next_block_at.as_micros());
-            self.next_block_at += self.block_interval;
-        }
-    }
-
-    fn status(&self, ticket: &Digest) -> TxStatus {
-        if self.chain.is_confirmed(ticket) {
-            return TxStatus::Confirmed;
-        }
-        // Included but not deep enough?
-        for (height, block_id) in self.chain.chain().active_chain().iter().enumerate() {
-            let block = self.chain.chain().block(block_id).expect("active stored");
-            if block
-                .txs
-                .iter()
-                .any(|t| dlt_blockchain::block::LedgerTx::id(t) == *ticket)
-            {
-                let confirmations = self.chain.chain().tip_height() - height as u64 + 1;
-                return TxStatus::Included { confirmations };
-            }
-        }
-        if self.chain.mempool().contains(ticket) {
-            return TxStatus::Pending;
-        }
-        TxStatus::Unknown
-    }
-
-    fn stats(&self) -> LedgerStats {
-        let confirmed = self
-            .tickets
-            .iter()
-            .filter(|t| self.chain.is_confirmed(t))
-            .count() as u64;
-        LedgerStats {
-            submitted: self.submitted,
-            confirmed,
-            pending: self.chain.mempool().len() as u64,
-            ledger_bytes: self.chain.chain().total_bytes(),
-            blocks: self.chain.chain().tip_height() + 1,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Ethereum adapter
-// ---------------------------------------------------------------------
-
-/// [`DistributedLedger`] over the Ethereum-like account chain.
-pub struct EthereumAdapter {
-    chain: EthereumChain,
-    holders: Vec<dlt_blockchain::account::AccountHolder>,
-    producer: Address,
-    elapsed: SimTime,
-    next_block_at: SimTime,
-    block_interval: SimTime,
-    submitted: u64,
-    tickets: Vec<Digest>,
 }
 
 impl EthereumAdapter {
@@ -242,12 +277,12 @@ impl EthereumAdapter {
         key_height: u32,
         seed: u64,
     ) -> Self {
-        let holders: Vec<dlt_blockchain::account::AccountHolder> = (0..actors)
+        let holders: Vec<AccountHolder> = (0..actors)
             .map(|i| {
                 let mut account_seed = [0u8; 32];
                 account_seed[..8].copy_from_slice(&seed.to_be_bytes());
                 account_seed[8..16].copy_from_slice(&(i as u64).to_be_bytes());
-                dlt_blockchain::account::AccountHolder::from_seed(account_seed, key_height)
+                AccountHolder::from_seed(account_seed, key_height)
             })
             .collect();
         let allocations: Vec<(Address, u64)> = holders
@@ -255,92 +290,61 @@ impl EthereumAdapter {
             .map(|h| (h.address(), funds_per_actor))
             .collect();
         let chain = EthereumChain::new(params, &allocations);
-        EthereumAdapter {
-            chain,
-            holders,
-            producer: Address::from_label("workload-validator"),
-            elapsed: SimTime::ZERO,
-            next_block_at: block_interval,
-            block_interval,
-            submitted: 0,
-            tickets: Vec::new(),
-        }
-    }
-
-    /// The wrapped chain (post-run inspection).
-    pub fn chain(&self) -> &EthereumChain {
-        &self.chain
+        ChainAdapter::with_chain(chain, holders, block_interval)
     }
 }
 
-impl DistributedLedger for EthereumAdapter {
+impl<C: WorkloadChain> DistributedLedger for ChainAdapter<C> {
     fn name(&self) -> &'static str {
-        "ethereum-like"
+        C::NAME
     }
 
     fn actor_count(&self) -> usize {
-        self.holders.len()
+        self.keys.len()
     }
 
     fn submit_transfer(&mut self, from: usize, to: usize, amount: u64) -> Option<Digest> {
-        if self.holders[from].remaining_signatures() == 0 {
+        let tx = self
+            .chain
+            .build_transfer(&mut self.keys, from, to, amount)?;
+        let id = tx.id();
+        if !self.chain.submit(tx) {
             return None;
         }
-        let to_address = self.holders[to].address();
-        let tx = self.holders[from].transfer(to_address, amount, 1);
-        let id = dlt_blockchain::block::LedgerTx::id(&tx);
-        if self.chain.submit_tx(tx) {
-            self.submitted += 1;
-            self.tickets.push(id);
-            Some(id)
-        } else {
-            None
-        }
+        self.tickets.push(id);
+        Some(id)
     }
 
     fn advance(&mut self, dt: SimTime) {
         self.elapsed += dt;
         while self.elapsed >= self.next_block_at {
             self.chain
-                .produce_block(self.producer, self.next_block_at.as_micros());
+                .produce(self.producer, self.next_block_at.as_micros());
             self.next_block_at += self.block_interval;
         }
     }
 
     fn status(&self, ticket: &Digest) -> TxStatus {
-        if self.chain.is_confirmed(ticket) {
-            return TxStatus::Confirmed;
+        match self.chain.store().tx_confirmations(ticket) {
+            Some(confs) if confs >= self.chain.confirmation_depth() => TxStatus::Confirmed,
+            Some(confirmations) => TxStatus::Included { confirmations },
+            None if self.chain.mempool().contains(ticket) => TxStatus::Pending,
+            None => TxStatus::Unknown,
         }
-        for (height, block_id) in self.chain.chain().active_chain().iter().enumerate() {
-            let block = self.chain.chain().block(block_id).expect("active stored");
-            if block
-                .txs
-                .iter()
-                .any(|t| dlt_blockchain::block::LedgerTx::id(t) == *ticket)
-            {
-                let confirmations = self.chain.chain().tip_height() - height as u64 + 1;
-                return TxStatus::Included { confirmations };
-            }
-        }
-        if self.chain.mempool().contains(ticket) {
-            return TxStatus::Pending;
-        }
-        TxStatus::Unknown
     }
 
     fn stats(&self) -> LedgerStats {
         let confirmed = self
             .tickets
             .iter()
-            .filter(|t| self.chain.is_confirmed(t))
+            .filter(|t| self.status(t) == TxStatus::Confirmed)
             .count() as u64;
         LedgerStats {
-            submitted: self.submitted,
+            submitted: self.tickets.len() as u64,
             confirmed,
             pending: self.chain.mempool().len() as u64,
-            ledger_bytes: self.chain.chain().total_bytes()
-                + self.chain.state().trie().total_bytes(),
-            blocks: self.chain.chain().tip_height() + 1,
+            ledger_bytes: self.chain.ledger_bytes(),
+            blocks: self.chain.store().tip_height() + 1,
         }
     }
 }
@@ -764,16 +768,25 @@ mod tests {
 
     #[test]
     fn statuses_progress_to_confirmed() {
-        let mut ledger = fast_ethereum(2);
-        let ticket = ledger.submit_transfer(0, 1, 10).unwrap();
-        assert_eq!(ledger.status(&ticket), TxStatus::Pending);
-        ledger.advance(SimTime::from_secs(1));
-        assert!(matches!(
-            ledger.status(&ticket),
-            TxStatus::Included { confirmations: 1 }
-        ));
-        ledger.advance(SimTime::from_secs(5));
-        assert_eq!(ledger.status(&ticket), TxStatus::Confirmed);
+        // (ledger, one block interval, time to reach depth 3)
+        let inputs: [(Box<dyn DistributedLedger>, u64, u64); 2] = [
+            (Box::new(fast_ethereum(2)), 1, 5),
+            (Box::new(fast_bitcoin(2)), 10, 50),
+        ];
+        for (mut ledger, first_block_secs, to_depth_secs) in inputs {
+            let name = ledger.name();
+            let ticket = ledger.submit_transfer(0, 1, 10).unwrap();
+            assert_eq!(ledger.status(&ticket), TxStatus::Pending, "{name}");
+            ledger.advance(SimTime::from_secs(first_block_secs));
+            assert_eq!(
+                ledger.status(&ticket),
+                TxStatus::Included { confirmations: 1 },
+                "{name}"
+            );
+            ledger.advance(SimTime::from_secs(to_depth_secs));
+            assert_eq!(ledger.status(&ticket), TxStatus::Confirmed, "{name}");
+            assert_eq!(ledger.stats().confirmed, 1, "{name}");
+        }
     }
 
     #[test]

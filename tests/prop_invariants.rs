@@ -3,8 +3,12 @@
 
 use std::collections::HashMap;
 
+use dlt_blockchain::bitcoin::{BitcoinChain, BitcoinParams};
+use dlt_blockchain::block::{Block, BlockHeader, LedgerTx};
 use dlt_blockchain::difficulty::{retarget, RetargetParams};
+use dlt_blockchain::utxo::{UtxoLedger, UtxoTx, Wallet};
 use dlt_crypto::codec::{decode_exact, Decode, Encode};
+use dlt_crypto::keys::Address;
 use dlt_crypto::merkle::MerkleTree;
 use dlt_crypto::sha256::{sha256, Sha256};
 use dlt_crypto::trie::TrieDb;
@@ -13,6 +17,7 @@ use dlt_dag::account::NanoAccount;
 use dlt_dag::lattice::{Lattice, LatticeParams};
 use dlt_dag::voting::Election;
 use dlt_testkit::prop;
+use dlt_testkit::prop::Gen;
 
 prop! {
     /// Streaming SHA-256 equals one-shot hashing for any chunking.
@@ -193,6 +198,108 @@ prop! {
             let victim = settled_sends[rollback_choice % settled_sends.len()];
             if lattice.rollback(&victim).is_ok() {
                 assert_eq!(lattice.circulating_total(), supply);
+            }
+        }
+    }
+}
+
+/// Funding of each of the three genesis outputs in the fork-choice
+/// property below.
+const BRANCH_FUNDS: u64 = 1_000;
+
+/// A wallet holding the keys of the three funded genesis outputs, and
+/// the genesis allocations. Every call returns the same keys.
+fn funded_wallet() -> (Wallet, Vec<(Address, u64)>) {
+    let mut wallet = Wallet::new(1);
+    let allocations = (0..3)
+        .map(|_| (wallet.new_address(), BRANCH_FUNDS))
+        .collect();
+    (wallet, allocations)
+}
+
+/// Mines a branch from genesis on a private chain: block `i` carries a
+/// payment when `payments[i]`, and block `bad`, if any, is re-made with
+/// an overpaying coinbase (its descendants re-linked onto it). Branches
+/// built from the same wallet spend the same outputs, so two branches
+/// double-spend each other.
+fn bitcoin_branch(tag: u64, payments: &[bool], bad: Option<usize>) -> Vec<Block<UtxoTx>> {
+    let (mut wallet, allocations) = funded_wallet();
+    let mut builder = BitcoinChain::new(BitcoinParams::default(), &allocations);
+    let miner = Address::from_label(&format!("miner-{tag}"));
+    let mut blocks: Vec<Block<UtxoTx>> = Vec::new();
+    for (i, pay) in payments.iter().enumerate() {
+        let to = Address::from_label(&format!("shop-{tag}-{i}"));
+        if let Some(tx) = pay
+            .then(|| wallet.build_transfer(builder.ledger(), to, 10 + i as u64, 1))
+            .flatten()
+        {
+            builder.submit_tx(tx);
+        }
+        blocks.push(builder.mine_block(miner, tag * 1_000 + i as u64));
+    }
+    if let Some(bad) = bad {
+        let mut parent = builder.chain().genesis();
+        for (i, block) in blocks.iter_mut().enumerate() {
+            if i >= bad {
+                let mut txs = block.txs.clone();
+                if i == bad {
+                    txs[0].outputs[0].amount += 1_000;
+                }
+                let header = BlockHeader {
+                    parent,
+                    ..block.header.clone()
+                };
+                *block = Block::new(header, txs);
+            }
+            parent = block.id();
+        }
+    }
+    blocks
+}
+
+prop! {
+    /// Two competing Bitcoin-like branches, one possibly hiding an
+    /// invalid block, delivered in any order: after every delivery the
+    /// UTXO set equals a fresh replay of the store's active chain, and
+    /// no active transaction is still pending.
+    fn bitcoin_ledger_follows_fork_choice(g, cases = 32) {
+        let a_payments = g.vec_in(1, 5, Gen::any_bool);
+        let b_payments = g.vec_in(1, 5, Gen::any_bool);
+        let bad = g.option(|g| (g.any_bool(), g.usize_in(0, 4)));
+        let bad_in = |in_a: bool, len: usize| {
+            bad.filter(|(a, _)| *a == in_a).map(|(_, i)| i % len)
+        };
+        let mut pending = bitcoin_branch(1, &a_payments, bad_in(true, a_payments.len()));
+        pending.extend(bitcoin_branch(2, &b_payments, bad_in(false, b_payments.len())));
+        let order = g.vec_of(pending.len(), Gen::any_usize);
+
+        let recipients: Vec<Address> = pending
+            .iter()
+            .flat_map(|b| b.txs.iter().flat_map(|tx| tx.outputs.iter().map(|o| o.recipient)))
+            .collect();
+        let (_, allocations) = funded_wallet();
+        let mut chain = BitcoinChain::new(BitcoinParams::default(), &allocations);
+        for pick in order {
+            let block = pending.remove(pick % pending.len());
+            let _ = chain.receive_block(block);
+
+            let mut replay = UtxoLedger::new();
+            for (height, block) in chain.chain().iter_active().enumerate() {
+                let subsidy = if height == 0 {
+                    3 * BRANCH_FUNDS
+                } else {
+                    chain.params().subsidy
+                };
+                replay.apply_block(block, subsidy).expect("the active chain is valid");
+                for tx in &block.txs {
+                    assert!(!chain.mempool().contains(&tx.id()), "active tx still pending");
+                }
+            }
+            let ledger = chain.ledger();
+            assert_eq!(ledger.total_value(), replay.total_value());
+            assert_eq!(ledger.utxo_count(), replay.utxo_count());
+            for address in allocations.iter().map(|(a, _)| a).chain(&recipients) {
+                assert_eq!(ledger.balance(address), replay.balance(address));
             }
         }
     }
