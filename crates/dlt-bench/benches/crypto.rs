@@ -6,13 +6,16 @@ use std::hint::black_box;
 
 use dlt_crypto::keys::Keypair;
 use dlt_crypto::merkle::{merkle_root, MerkleTree};
+use dlt_crypto::mss::MssKeypair;
 use dlt_crypto::sha256::sha256;
 use dlt_crypto::trie::TrieDb;
 use dlt_crypto::wots::WotsKeypair;
 use dlt_testkit::bench::BenchSuite;
 
 fn bench_sha256(suite: &mut BenchSuite) {
-    for size in [64usize, 1024, 65_536] {
+    // 48 B is one WOTS chain step: the single-block hash signing and
+    // verification are made of.
+    for size in [48usize, 64, 1024, 65_536] {
         let data = vec![0xabu8; size];
         suite
             .throughput_bytes(size as u64)
@@ -59,6 +62,18 @@ fn bench_signatures(suite: &mut BenchSuite) {
     });
     suite.bench("mss_keygen_h6", || {
         Keypair::mss_from_seed(black_box([2u8; 32]), 6)
+    });
+    // Signing spends a leaf; start over from a fresh copy of the key
+    // every 1024 signatures.
+    let fresh = MssKeypair::from_seed([4u8; 32], 10);
+    let mut signer = fresh.clone();
+    suite.bench("mss_sign", || {
+        if signer.remaining() == 0 {
+            signer = fresh.clone();
+        }
+        signer
+            .sign(black_box(&msg))
+            .expect("the key has leaves left")
     });
     let mut mss = Keypair::mss_from_seed([3u8; 32], 10);
     let public = mss.public_key();

@@ -637,6 +637,32 @@ mod tests {
     }
 
     #[test]
+    fn relayed_signature_with_mutated_leaf_index_rejected() {
+        // A relay rewrites the MSS leaf index (and the path's copy of
+        // it) of a valid transfer. The copy has a different id, so it
+        // must not also be valid.
+        let mut db = StateDb::new();
+        let mut alice = holder(9);
+        let root = funded(&mut db, &alice, 1_000_000);
+        let tx = alice.transfer(Address::from_label("b"), 10, 1);
+        assert!(db.apply_tx(root, &tx, &producer()).is_ok());
+        for index in [1u32, 16] {
+            let mut mutated = tx.clone();
+            let Signature::Mss(sig) = &mut mutated.signature else {
+                panic!("account holders sign with MSS keys");
+            };
+            sig.leaf_index = index;
+            sig.auth_path.index = index as usize;
+            assert_ne!(mutated.id(), tx.id());
+            assert_eq!(
+                db.apply_tx(root, &mutated, &producer()).unwrap_err(),
+                AccountError::BadSignature,
+                "leaf index {index}"
+            );
+        }
+    }
+
+    #[test]
     fn self_transfer_only_burns_fee() {
         let mut db = StateDb::new();
         let mut alice = holder(8);

@@ -19,7 +19,7 @@ use crate::codec::{Decode, DecodeError, Encode};
 use crate::digest::Digest;
 use crate::merkle::{MerkleProof, MerkleTree};
 use crate::sha256::Sha256;
-use crate::wots::{WotsKeypair, WotsSignature};
+use crate::wots::{self, WotsKeypair, WotsSignature};
 
 /// Default tree height: 2⁶ = 64 signatures per account, enough for the
 /// simulated workloads while keeping keygen fast.
@@ -114,14 +114,13 @@ impl MssKeypair {
         }
         let index = self.next_leaf;
         self.next_leaf += 1;
-        let wots = WotsKeypair::from_seed(leaf_seed(&self.seed, index));
         let auth_path = self
             .tree
             .prove(index as usize)
             .expect("index < capacity, so the leaf exists");
         Ok(MssSignature {
             leaf_index: index,
-            wots_sig: wots.sign(msg),
+            wots_sig: wots::sign_with_seed(&leaf_seed(&self.seed, index), msg),
             auth_path,
         })
     }
@@ -156,8 +155,21 @@ impl MssSignature {
     ///
     /// Recovers the leaf public key from the WOTS signature, then checks
     /// the authentication path connects it to `public_digest`.
+    ///
+    /// The path's left/right flags must spell out `leaf_index` bit by
+    /// bit (MSS trees are full), so each signature has exactly one valid
+    /// encoding: the root computation reads only the flags, and without
+    /// this check any index with the same low bits would verify too.
     pub fn verify(&self, msg: &Digest, public_digest: &Digest) -> bool {
-        if self.auth_path.index != self.leaf_index as usize {
+        let path = &self.auth_path.path;
+        if self.auth_path.index != self.leaf_index as usize
+            || path.len() >= 32
+            || self.leaf_index >> path.len() != 0
+            || path
+                .iter()
+                .enumerate()
+                .any(|(level, step)| step.sibling_on_left != (self.leaf_index >> level & 1 == 1))
+        {
             return false;
         }
         match self.wots_sig.recover_public(msg) {
@@ -249,6 +261,54 @@ mod tests {
         let msg = sha256(b"message");
         let mut sig = kp.sign(&msg).unwrap();
         sig.leaf_index = 3;
+        assert!(!sig.verify(&msg, &kp.public_digest()));
+    }
+
+    #[test]
+    fn signing_skips_leaf_public_keys_but_matches_wots() {
+        let seed = [11u8; 32];
+        let mut kp = MssKeypair::from_seed(seed, 3);
+        for index in 0..kp.capacity() {
+            let msg = sha256(&index.to_be_bytes());
+            let sig = kp.sign(&msg).unwrap();
+            let leaf = WotsKeypair::from_seed(leaf_seed(&seed, index));
+            assert_eq!(sig.wots_sig, leaf.sign(&msg), "leaf {index}");
+            assert_eq!(Some(sig.auth_path), kp.tree.prove(index as usize));
+        }
+    }
+
+    #[test]
+    fn mutated_leaf_index_rejected() {
+        // The root computation follows the path's flags only, so before
+        // the flags were bound to `leaf_index` this signature from leaf 2
+        // also verified as leaf 5 (high bit of a 3-bit index flipped) or
+        // leaf 10 (a bit above the tree height set).
+        let mut kp = MssKeypair::from_seed([12u8; 32], 3);
+        let public = kp.public_digest();
+        let msg = sha256(b"message");
+        kp.sign(&sha256(b"a")).unwrap();
+        kp.sign(&sha256(b"b")).unwrap();
+        let sig = kp.sign(&msg).unwrap();
+        assert_eq!(sig.leaf_index, 2);
+        assert!(sig.verify(&msg, &public));
+        for index in [0u32, 3, 5, 6, 10, 1 << 31] {
+            let mut mutated = sig.clone();
+            mutated.leaf_index = index;
+            mutated.auth_path.index = index as usize;
+            assert!(!mutated.verify(&msg, &public), "leaf index {index}");
+        }
+    }
+
+    #[test]
+    fn overlong_auth_path_rejected() {
+        let mut kp = MssKeypair::from_seed([13u8; 32], 1);
+        let msg = sha256(b"message");
+        let mut sig = kp.sign(&msg).unwrap();
+        // Longer than any `u32` leaf index can need: rejected before the
+        // index bits are read, so the shift by the path length cannot
+        // overflow.
+        let step = sig.auth_path.path[0];
+        sig.auth_path.path = vec![step; 40];
         assert!(!sig.verify(&msg, &kp.public_digest()));
     }
 

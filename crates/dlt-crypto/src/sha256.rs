@@ -1,9 +1,14 @@
 //! A from-scratch implementation of SHA-256 (FIPS 180-4).
 //!
 //! Provides a streaming hasher ([`Sha256`]) and one-shot helpers
-//! ([`sha256`], [`double_sha256`], [`sha256_concat`]). The
-//! implementation is pure safe Rust and is validated against the FIPS
-//! 180-4 / NIST test vectors in the unit tests.
+//! ([`sha256`], [`double_sha256`], [`sha256_concat`]), validated against
+//! the FIPS 180-4 / NIST test vectors in the unit tests.
+//!
+//! The compression function has two paths, chosen per call by the CPU:
+//! on x86-64 with the SHA extensions (SHA-NI) a hardware kernel, the
+//! only `unsafe` code in the crate (module `x86`); everywhere else the
+//! portable scalar rounds, which the tests also run as the oracle for
+//! the kernel. Both give identical output.
 //!
 //! Blockchains conventionally use the *double* hash
 //! `SHA-256(SHA-256(x))` for block and transaction identifiers; the DAG
@@ -11,6 +16,10 @@
 //! match its reference implementation.
 
 use crate::digest::Digest;
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86;
 
 /// SHA-256 round constants: the first 32 bits of the fractional parts of
 /// the cube roots of the first 64 prime numbers (FIPS 180-4 §4.2.2).
@@ -76,59 +85,76 @@ impl Sha256 {
 
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
-        let mut data = data;
+        self.update_with(data, compress);
+    }
+
+    /// Finishes the hash computation and returns the digest.
+    pub fn finalize(self) -> Digest {
+        self.finalize_with(compress)
+    }
+
+    /// [`Sha256::update`] over a given compression function (the tests
+    /// pass [`compress_scalar`] to check it against the dispatched one).
+    fn update_with(&mut self, mut data: &[u8], kernel: impl Fn(&mut [u32; 8], &[[u8; 64]])) {
         // Fill a partially-filled buffer first.
         if self.buf_len > 0 {
             let take = (64 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.len += 64;
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
-        }
-        // Process whole blocks directly from the input.
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
+            kernel(&mut self.state, std::slice::from_ref(&self.buf));
             self.len += 64;
-            data = &data[64..];
+            self.buf_len = 0;
+        }
+        // Process whole blocks directly from the input, in one call.
+        let (blocks, tail) = data.as_chunks::<64>();
+        if !blocks.is_empty() {
+            kernel(&mut self.state, blocks);
+            self.len += 64 * blocks.len() as u64;
         }
         // Buffer the tail.
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
-    /// Finishes the hash computation and returns the digest.
-    pub fn finalize(mut self) -> Digest {
+    /// [`Sha256::finalize`] over a given compression function.
+    fn finalize_with(mut self, kernel: impl Fn(&mut [u32; 8], &[[u8; 64]])) -> Digest {
         let total_bits = (self.len + self.buf_len as u64).wrapping_mul(8);
-        // Append the 0x80 terminator.
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        // Pad with zeros until the message length is 56 mod 64, then the
-        // 64-bit big-endian bit length.
-        let rem = (self.len as usize + self.buf_len + 1) % 64;
-        let zeros = if rem <= 56 { 56 - rem } else { 120 - rem };
-        let mut tail = Vec::with_capacity(1 + zeros + 8);
-        tail.extend_from_slice(&pad[..1 + zeros]);
-        tail.extend_from_slice(&total_bits.to_be_bytes());
-        self.update(&tail);
-        debug_assert_eq!(self.buf_len, 0, "padding must end on a block boundary");
+        // The buffered tail, the 0x80 terminator, zeros, and the 64-bit
+        // big-endian bit length: one block, or two when the tail leaves
+        // no room for the terminator and the length.
+        let mut pad = [[0u8; 64]; 2];
+        let blocks = if self.buf_len < 56 { 1 } else { 2 };
+        pad[0][..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        pad[0][self.buf_len] = 0x80;
+        pad[blocks - 1][56..].copy_from_slice(&total_bits.to_be_bytes());
+        kernel(&mut self.state, &pad[..blocks]);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest::from_bytes(out)
     }
+}
 
-    /// The SHA-256 compression function over one 512-bit block.
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The SHA-256 compression function over whole 512-bit blocks: the
+/// SHA-NI kernel when this CPU has the SHA extensions, the scalar
+/// rounds otherwise. Both produce identical states.
+fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if x86::compress(state, blocks) {
+        return;
+    }
+    compress_scalar(state, blocks);
+}
+
+/// The portable compression function (FIPS 180-4 §6.2.2), one block at
+/// a time.
+fn compress_scalar(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -142,7 +168,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
@@ -165,14 +191,9 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(v);
+        }
     }
 }
 
@@ -210,19 +231,36 @@ pub fn sha256_concat(left: &Digest, right: &Digest) -> Digest {
 mod tests {
     use super::*;
 
+    // On a CPU without the SHA extensions the dispatched `compress` is
+    // `compress_scalar` itself, so these tests then compare the scalar
+    // path with itself and still pass.
+
+    /// SHA-256 of `data` on the scalar path, whatever the CPU.
+    fn scalar_sha256(data: &[u8]) -> Digest {
+        let mut h = Sha256::new();
+        h.update_with(data, compress_scalar);
+        h.finalize_with(compress_scalar)
+    }
+
+    /// Checks a known answer on the dispatched and the scalar path.
+    fn assert_vector(data: &[u8], hex: &str) {
+        assert_eq!(sha256(data).to_hex(), hex, "dispatched");
+        assert_eq!(scalar_sha256(data).to_hex(), hex, "scalar");
+    }
+
     #[test]
     fn empty_string_vector() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_vector(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn abc_vector() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_vector(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
@@ -230,18 +268,17 @@ mod tests {
     fn two_block_vector() {
         // FIPS 180-4 test vector for a 448-bit message (forces padding
         // into a second block).
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn million_a_vector() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_vector(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
@@ -249,11 +286,37 @@ mod tests {
     fn streaming_matches_oneshot_at_all_split_points() {
         let data: Vec<u8> = (0u16..300).map(|i| (i % 251) as u8).collect();
         let expect = sha256(&data);
+        assert_eq!(scalar_sha256(&data), expect);
         for split in 0..data.len() {
             let mut h = Sha256::new();
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), expect, "split at {split}");
+            let mut h = Sha256::new();
+            h.update_with(&data[..split], compress_scalar);
+            h.update_with(&data[split..], compress_scalar);
+            assert_eq!(
+                h.finalize_with(compress_scalar),
+                expect,
+                "scalar split at {split}"
+            );
+        }
+    }
+
+    dlt_testkit::prop! {
+        fn dispatched_compress_matches_scalar(g, cases = 256) {
+            let start: [u32; 8] = std::array::from_fn(|_| g.any_u64() as u32);
+            let (mut fast, mut slow) = (start, start);
+            // Chain several calls of one to four blocks each, so later
+            // calls start from states the kernels produced.
+            for _ in 0..g.usize_in(1, 5) {
+                let len = 64 * g.usize_in(1, 5);
+                let bytes = g.vec_of(len, |g| g.any_u8());
+                let (blocks, _) = bytes.as_chunks::<64>();
+                compress(&mut fast, blocks);
+                compress_scalar(&mut slow, blocks);
+                assert_eq!(fast, slow);
+            }
         }
     }
 

@@ -136,14 +136,20 @@ impl WotsKeypair {
     /// As with all one-time schemes, signing two different messages with
     /// the same key compromises it.
     pub fn sign(&self, msg: &Digest) -> WotsSignature {
-        let digits = digits_with_checksum(msg);
-        let mut parts = Vec::with_capacity(LEN);
-        for (i, &d) in digits.iter().enumerate() {
-            let start = secret_start(&self.seed, i as u16);
-            parts.push(chain(start, i as u16, 0, u32::from(d)));
-        }
-        WotsSignature { parts }
+        sign_with_seed(&self.seed, msg)
     }
+}
+
+/// Signs `msg` with the key [`WotsKeypair::from_seed`] derives from
+/// `seed`, without deriving its public key (which signing never reads).
+pub(crate) fn sign_with_seed(seed: &[u8; 32], msg: &Digest) -> WotsSignature {
+    let digits = digits_with_checksum(msg);
+    let mut parts = Vec::with_capacity(LEN);
+    for (i, &d) in digits.iter().enumerate() {
+        let start = secret_start(seed, i as u16);
+        parts.push(chain(start, i as u16, 0, u32::from(d)));
+    }
+    WotsSignature { parts }
 }
 
 /// A WOTS signature: one intermediate chain value per digit (~2.1 KiB).

@@ -111,25 +111,30 @@ impl NanoAccount {
         kind: BlockKind,
         new_balance: u64,
     ) -> Result<LatticeBlock, AccountBuildError> {
+        let account = self.address();
+        let account_key = self.public_key();
+        let hash = LatticeBlock::hash_fields(
+            &account,
+            &account_key,
+            &self.head,
+            &self.representative,
+            new_balance,
+            &kind,
+        );
+        let signature = self
+            .keypair
+            .sign(&hash)
+            .map_err(|_| AccountBuildError::KeyExhausted)?;
         let mut block = LatticeBlock {
-            account: self.address(),
-            account_key: self.public_key(),
+            account,
+            account_key,
             previous: self.head,
             representative: self.representative,
             balance: new_balance,
             kind,
             work: 0,
-            signature: dlt_crypto::keys::Signature::Mss(
-                dlt_crypto::mss::MssKeypair::from_seed([0u8; 32], 1)
-                    .sign(&Digest::ZERO)
-                    .expect("fresh throwaway key"),
-            ),
+            signature,
         };
-        let hash = block.hash();
-        block.signature = self
-            .keypair
-            .sign(&hash)
-            .map_err(|_| AccountBuildError::KeyExhausted)?;
         block.work = LatticeBlock::compute_work(&block.work_root(), self.difficulty_bits);
         self.head = hash;
         self.balance = new_balance;

@@ -97,15 +97,35 @@ impl LatticeBlock {
     /// work nonce or the signature (as Nano's block hash does), so the
     /// signature can sign the hash and work can be attached afterwards.
     pub fn hash(&self) -> Digest {
+        Self::hash_fields(
+            &self.account,
+            &self.account_key,
+            &self.previous,
+            &self.representative,
+            self.balance,
+            &self.kind,
+        )
+    }
+
+    /// [`LatticeBlock::hash`] of a block with these fields, so a block
+    /// can be signed before it exists.
+    pub(crate) fn hash_fields(
+        account: &Address,
+        account_key: &PublicKey,
+        previous: &Digest,
+        representative: &Address,
+        balance: u64,
+        kind: &BlockKind,
+    ) -> Digest {
         let mut h = Sha256::new();
         h.update(b"lattice-block");
         let mut buf = Vec::new();
-        self.account.encode(&mut buf);
-        self.account_key.encode(&mut buf);
-        self.previous.encode(&mut buf);
-        self.representative.encode(&mut buf);
-        self.balance.encode(&mut buf);
-        self.kind.encode(&mut buf);
+        account.encode(&mut buf);
+        account_key.encode(&mut buf);
+        previous.encode(&mut buf);
+        representative.encode(&mut buf);
+        balance.encode(&mut buf);
+        kind.encode(&mut buf);
         h.update(&buf);
         h.finalize()
     }
