@@ -7,7 +7,7 @@
 //! predecessor" scenario. The expected shape: fork rate grows roughly
 //! with latency/interval, and nodes still converge on one chain.
 
-use dlt_bench::{banner, print_dispatch_hash, trace, Table};
+use dlt_bench::{banner, trace, Table};
 use dlt_blockchain::block::Block;
 use dlt_blockchain::difficulty::RetargetParams;
 use dlt_blockchain::node::{MinerConfig, MinerNode, NetMsg};
@@ -69,7 +69,6 @@ fn main() {
         trace.install(&mut sim);
         sim.run_until(run);
         sim.run_until_idle(run + SimTime::from_secs(30));
-        print_dispatch_hash(&format!("latency-{latency_ms}ms"), &sim);
 
         let heights: Vec<u64> = (0..miners)
             .map(|i| sim.node(NodeId(i)).chain().tip_height())

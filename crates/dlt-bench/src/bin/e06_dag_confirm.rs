@@ -6,7 +6,7 @@
 //! blocks as a function of link latency and representative-weight
 //! concentration.
 
-use dlt_bench::{banner, print_dispatch_hash, trace, Table};
+use dlt_bench::{banner, trace, Table};
 use dlt_crypto::keys::Address;
 use dlt_dag::account::NanoAccount;
 use dlt_dag::lattice::LatticeParams;
@@ -98,7 +98,6 @@ fn main() {
             sim.deliver_at(at, NodeId(i % 5), NodeId(i % 5), DagMsg::Publish(send));
         }
         sim.run_until_idle(SimTime::from_secs(60));
-        print_dispatch_hash(&format!("latency-{latency_ms}ms"), &sim);
         let p50 = sim
             .metrics()
             .percentile("dag.confirm_latency_ms", 0.5)
@@ -156,7 +155,6 @@ fn main() {
             DagMsg::Publish(b),
         );
         sim.run_until_idle(SimTime::from_secs(60));
-        print_dispatch_hash(label, &sim);
         let a_wins = (0..n)
             .filter(|i| sim.node(NodeId(*i)).is_confirmed(&a_hash))
             .count();

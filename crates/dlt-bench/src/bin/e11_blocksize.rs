@@ -11,7 +11,7 @@
 //! the fork rate (measured on the miner network with size-scaled
 //! latency) and the hardware demanded of full nodes.
 
-use dlt_bench::{banner, print_dispatch_hash, section, smoke, trace, Table};
+use dlt_bench::{banner, section, smoke, trace, Table};
 use dlt_blockchain::block::Block;
 use dlt_blockchain::difficulty::RetargetParams;
 use dlt_blockchain::node::{MinerConfig, MinerNode, NetMsg};
@@ -86,7 +86,6 @@ fn main() {
         }
         trace.install(&mut sim);
         sim.run_until(SimTime::from_secs(2_000));
-        print_dispatch_hash(&format!("block-size-{mb}mb"), &sim);
         let total = sim.node(NodeId(0)).chain().block_count();
         let stale = sim.node(NodeId(0)).chain().stale_block_count();
         let fork_rate = stale as f64 / total as f64;
@@ -169,7 +168,6 @@ fn main() {
                     ));
                 }
                 sim.run_until(SimTime::from_secs(act2_horizon));
-                print_dispatch_hash(&format!("miners-{miners}-{mb}mb-r{replica}"), &sim);
                 let total = sim.node(NodeId(0)).chain().block_count();
                 let stale = sim.node(NodeId(0)).chain().stale_block_count();
                 rate_sum += stale as f64 / total as f64;

@@ -46,7 +46,6 @@ fn main() {
     ]);
     // DLT_TRACE=1 marks each (K, f) sweep point with the measured TPS.
     let trace = trace::from_env("e13");
-    let mut combined = 0u64;
     for &k in shard_counts {
         trace.mark("sweep.shards", k as u64);
         let mut cells = vec![k.to_string()];
@@ -56,7 +55,6 @@ fn main() {
             let params = cell_params(k, f, f_index, smoke);
             let outcome = run_cell(&params, threads);
             trace.mark("shard.measured_tps", outcome.measured_tps as u64);
-            combined = dlt_sim::shard::mix(combined, outcome.combined_hash);
             cells.push(format!("{:.0}", outcome.measured_tps));
         }
         let theory = dlt_scaling::sharding::ShardingParams {
@@ -69,11 +67,6 @@ fn main() {
         table.row(cells);
     }
     table.print();
-
-    #[cfg(feature = "det-sanitizer")]
-    println!("det-sanitizer[e13] combined_hash=0x{combined:016x}");
-    #[cfg(not(feature = "det-sanitizer"))]
-    let _ = combined;
 
     println!(
         "\nreading: K=1 is §VI's unsharded baseline (\"every node … process[es] \

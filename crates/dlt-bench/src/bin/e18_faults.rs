@@ -12,11 +12,12 @@
 //!
 //! Every fault schedule is seed-driven and reproducible; the whole
 //! report is byte-deterministic. The scenario machinery lives in
-//! `dlt_bench::faults` so the det-sanitizer regression tests replay
-//! the exact same runs and assert their dispatch hashes.
+//! `dlt_bench::faults` so the dispatch-hash regression tests
+//! (`crates/dlt-bench/tests/det_sanitizer.rs`) replay the exact same
+//! runs and assert their dispatch hashes.
 
 use dlt_bench::faults::{run_blockchain_scenario, run_dag_scenario, scenarios, DAG_REPS, MINERS};
-use dlt_bench::{banner, print_dispatch_hash, section, smoke, trace, Table};
+use dlt_bench::{banner, section, smoke, trace, Table};
 use dlt_sim::network::NodeId;
 use dlt_sim::time::SimTime;
 
@@ -43,7 +44,6 @@ fn blockchain_act(trace: &trace::ExperimentTrace) {
     for (i, scenario) in scenarios().iter().enumerate() {
         trace.mark("sweep.blockchain_scenario", i as u64);
         let sim = run_blockchain_scenario(i, scenario, run, |sim| trace.install(sim));
-        print_dispatch_hash(&format!("blockchain/{}", scenario.name), &sim);
 
         let heights: Vec<u64> = (0..miners)
             .map(|i| sim.node(NodeId(i)).chain().tip_height())
@@ -100,7 +100,6 @@ fn dag_act(trace: &trace::ExperimentTrace) {
     for (i, scenario) in scenarios().iter().enumerate() {
         trace.mark("sweep.dag_scenario", i as u64);
         let sim = run_dag_scenario(i, scenario, sends, run, |sim| trace.install(sim));
-        print_dispatch_hash(&format!("dag/{}", scenario.name), &sim);
 
         let published = sends + 1; // the double spend settles to one block
         let confirmed_min = (0..reps)

@@ -18,32 +18,6 @@ use std::cell::RefCell;
 
 use dlt_testkit::json::Json;
 
-/// Prints one simulation's det-sanitizer dispatch hash to stdout.
-///
-/// Only emits when the workspace is built with
-/// `--features det-sanitizer`; the default build prints nothing, so
-/// the byte-compared experiment output is unchanged. Run the same
-/// experiment twice with the feature on and diff the hash lines to
-/// check run-to-run determinism of the full dispatch schedule.
-#[cfg(feature = "det-sanitizer")]
-pub fn print_dispatch_hash<M, N: dlt_sim::engine::SimNode<M>>(
-    label: &str,
-    sim: &dlt_sim::engine::Simulation<M, N>,
-) {
-    println!(
-        "det-sanitizer[{label}] dispatch_hash=0x{:016x}",
-        sim.dispatch_hash()
-    );
-}
-
-/// No-op twin of the det-sanitizer hash printer (feature disabled).
-#[cfg(not(feature = "det-sanitizer"))]
-pub fn print_dispatch_hash<M, N: dlt_sim::engine::SimNode<M>>(
-    _label: &str,
-    _sim: &dlt_sim::engine::Simulation<M, N>,
-) {
-}
-
 thread_local! {
     /// Tables printed so far on this thread, captured for [`Report`].
     static PRINTED_TABLES: RefCell<Vec<Json>> = const { RefCell::new(Vec::new()) };

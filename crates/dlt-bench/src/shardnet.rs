@@ -7,9 +7,9 @@
 //! `C` tx/s; a fraction `f` of submitted transactions are cross-shard
 //! two-phase transfers (debit at the home shard, credit at the
 //! destination), and inbound credits are prioritised over fresh
-//! submissions — the same queueing discipline as the analytic
-//! `dlt-scaling::sharding::ShardedNetwork`, so the measured column can
-//! be read against the `K·C/(1+f)` ceiling.
+//! submissions, so the measured column can be read against the
+//! analytic `K·C/(1+f)` ceiling of
+//! `dlt_scaling::sharding::ShardingParams::theoretical_tps`.
 //!
 //! Cross-shard debits travel between shards only at epoch barriers
 //! (sorted by `(sent_at, seq, src)`, delivered at `epoch_end +
@@ -38,7 +38,7 @@ pub enum ShardMsg {
     Applied,
 }
 
-/// Per-message fingerprint for the det-sanitizer dispatch hash.
+/// Per-message fingerprint folded into each shard's dispatch hash.
 pub fn digest_msg(msg: &ShardMsg) -> u64 {
     match msg {
         ShardMsg::Submit { cross_to: None } => 1,
@@ -107,7 +107,6 @@ struct Validator {
     /// barrier as `(completion_time, dst_shard)`.
     outbox: Vec<(SimTime, u32)>,
     metrics: Option<ValidatorMetrics>,
-    queue_peak: u64,
 }
 
 impl Validator {
@@ -120,8 +119,13 @@ impl Validator {
             submits: std::collections::VecDeque::new(),
             outbox: Vec::new(),
             metrics: None,
-            queue_peak: 0,
         }
+    }
+
+    /// Jobs accepted but not completed: queued credits and submissions
+    /// plus the one in service.
+    fn backlog(&self) -> u64 {
+        self.credits + self.submits.len() as u64 + u64::from(self.current.is_some())
     }
 
     fn handles(&self) -> ValidatorMetrics {
@@ -148,9 +152,6 @@ impl Validator {
             Job::Credit => self.credits += 1,
             other => self.submits.push_back(other),
         }
-        self.queue_peak = self
-            .queue_peak
-            .max(self.credits + self.submits.len() as u64);
         if !self.busy {
             self.start_next(ctx);
         }
@@ -273,6 +274,8 @@ pub struct ShardLedgerWorker {
     /// reset between epochs — the exchange key depends on it).
     next_seq: u64,
     shard: usize,
+    /// Client transactions pre-scheduled for this shard.
+    submitted: u64,
 }
 
 const VALIDATOR: NodeId = NodeId(0);
@@ -287,7 +290,6 @@ impl ShardLedgerWorker {
             mix(params.seed, shard as u64),
             dlt_sim::network::Network::new(LatencyModel::lan()),
         );
-        #[cfg(feature = "det-sanitizer")]
         sim.set_msg_digester(digest_msg);
         let service = SimTime::from_secs_f64(1.0 / params.capacity);
         sim.add_node(Node::Validator(Validator::new(service)));
@@ -302,6 +304,7 @@ impl ShardLedgerWorker {
         let mut workload = SimRng::new(mix(mix(params.seed, shard as u64), 0x5eed));
         let mean_gap = 1.0 / params.offered_per_shard;
         let mut t = 0.0f64;
+        let mut submitted = 0;
         loop {
             t += workload.exponential(mean_gap);
             if t >= params.duration {
@@ -323,12 +326,14 @@ impl ShardLedgerWorker {
                 VALIDATOR,
                 ShardMsg::Submit { cross_to },
             );
+            submitted += 1;
         }
 
         ShardLedgerWorker {
             sim,
             next_seq: 0,
             shard,
+            submitted,
         }
     }
 }
@@ -364,8 +369,17 @@ impl ShardWorker for ShardLedgerWorker {
             .deliver_at(deliver_at, VALIDATOR, VALIDATOR, ShardMsg::Credit);
     }
 
-    fn finish(self) -> ShardReport {
-        let dispatch_hash = self.sim.dispatch_hash_or_zero();
+    fn finish(mut self) -> ShardReport {
+        let Node::Validator(validator) = self.sim.node(VALIDATOR) else {
+            unreachable!("node 0 is always the validator");
+        };
+        let backlog = validator.backlog();
+        let metrics = self.sim.metrics_mut();
+        let id = metrics.counter("tx.submitted");
+        metrics.add(id, self.submitted);
+        let id = metrics.counter("tx.backlog");
+        metrics.add(id, backlog);
+        let dispatch_hash = self.sim.dispatch_hash();
         ShardReport {
             metrics: self.sim.into_metrics(),
             dispatch_hash,
@@ -385,12 +399,15 @@ pub struct CellOutcome {
     pub cross_messages: u64,
     /// Final-epoch debits with no barrier left to deliver them.
     pub undelivered: u64,
-    /// Fold of all per-shard dispatch hashes (0 without det-sanitizer).
+    /// Fold of all per-shard dispatch hashes.
     pub combined_hash: u64,
     /// The per-shard dispatch hashes the fold ran over, in shard-index
-    /// order (all zero without det-sanitizer).
+    /// order.
     pub shard_hashes: Vec<u64>,
-    /// All shard metrics merged in shard-index order.
+    /// All shard metrics merged in shard-index order, including the
+    /// client transactions each shard was offered (`tx.submitted`) and
+    /// those it accepted but had not completed at the end
+    /// (`tx.backlog`).
     pub metrics: Metrics,
 }
 
@@ -482,6 +499,34 @@ mod tests {
             crossy.measured_tps,
             local.measured_tps
         );
+    }
+
+    #[test]
+    fn throughput_scales_with_shard_count() {
+        let tps = |k| run_cell(&tiny(k, 0.0), 1).measured_tps;
+        let (tps_1, tps_4, tps_16) = (tps(1), tps(4), tps(16));
+        assert!(tps_4 > tps_1 * 3.5, "4 shards ≈ 4x: {tps_4} vs {tps_1}");
+        assert!(tps_16 > tps_4 * 3.5, "16 shards ≈ 4x: {tps_16} vs {tps_4}");
+    }
+
+    #[test]
+    fn measured_tracks_theoretical() {
+        // e13's reading: saturated cells track the analytic K·C/(1+f)
+        // ceiling from below (barriers delay the credit phase).
+        for (k, f) in [(2usize, 0.0), (4, 0.3), (8, 0.5)] {
+            let params = tiny(k, f);
+            let measured = run_cell(&params, 1).measured_tps;
+            let theory = dlt_scaling::sharding::ShardingParams {
+                shards: k,
+                per_shard_rate: params.capacity,
+                cross_shard_fraction: f,
+            }
+            .theoretical_tps();
+            assert!(
+                measured <= theory && (theory - measured) / theory < 0.15,
+                "k={k} f={f}: measured {measured} vs theory {theory}"
+            );
+        }
     }
 
     #[test]

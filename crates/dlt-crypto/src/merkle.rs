@@ -121,9 +121,31 @@ pub struct MerkleProof {
 
 impl MerkleProof {
     /// Verifies that `leaf` is included under `root` at this proof's
-    /// position.
+    /// position: the path's left/right flags must spell out
+    /// [`MerkleProof::index`] bit by bit, and the path must fold to
+    /// `root`.
     pub fn verify(&self, root: &Digest, leaf: &Digest) -> bool {
-        *root == self.compute_root(leaf)
+        self.index_matches_path() && *root == self.compute_root(leaf)
+    }
+
+    /// Whether the path's left/right flags spell out `index` bit by bit
+    /// (bit `i` set ⇔ the sibling at level `i` is on the left) and
+    /// `index` has no bits at or above the path length.
+    ///
+    /// The root computation reads only the flags, never `index`, so
+    /// without this check a proof verifies under any index, and a caller
+    /// acting on the index (a fraud proof replaying the block up to it,
+    /// an MSS leaf index) can be fed a position the path never committed
+    /// to.
+    pub(crate) fn index_matches_path(&self) -> bool {
+        let height = self.path.len();
+        height < usize::BITS as usize
+            && self.index >> height == 0
+            && self
+                .path
+                .iter()
+                .enumerate()
+                .all(|(level, step)| step.sibling_on_left == (self.index >> level & 1 == 1))
     }
 
     /// Folds the authentication path over `leaf`, returning the implied
@@ -282,6 +304,29 @@ mod tests {
             bad.path[step].sibling = sha256(b"tampered");
             assert!(!bad.verify(&tree.root(), &l[5]), "step {step}");
         }
+    }
+
+    #[test]
+    fn proof_is_bound_to_its_index() {
+        let l = leaves(5);
+        let tree = MerkleTree::from_leaves(l.clone());
+        for (i, leaf) in l.iter().enumerate() {
+            let proof = tree.prove(i).unwrap();
+            assert!(proof.index_matches_path(), "index {i}");
+            // Same path, any other index is rejected: a flipped low
+            // bit, or a bit above the 3-step path (i + 8, i | 1 << 20)
+            // that no flag can spell.
+            for other in [i ^ 1, i ^ 2, i + 8, i | 1 << 20] {
+                let mut moved = proof.clone();
+                moved.index = other;
+                assert!(!moved.verify(&tree.root(), leaf), "{i} as {other}");
+            }
+        }
+        // A path longer than any index needs is rejected before the
+        // shift by its length could overflow.
+        let mut overlong = tree.prove(0).unwrap();
+        overlong.path = vec![overlong.path[0]; usize::BITS as usize];
+        assert!(!overlong.index_matches_path());
     }
 
     #[test]

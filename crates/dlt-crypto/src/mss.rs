@@ -156,19 +156,14 @@ impl MssSignature {
     /// Recovers the leaf public key from the WOTS signature, then checks
     /// the authentication path connects it to `public_digest`.
     ///
-    /// The path's left/right flags must spell out `leaf_index` bit by
-    /// bit (MSS trees are full), so each signature has exactly one valid
-    /// encoding: the root computation reads only the flags, and without
-    /// this check any index with the same low bits would verify too.
+    /// The path must spell out `leaf_index` bit by bit (the check
+    /// [`MerkleProof::verify`] makes), so each signature has
+    /// exactly one valid encoding: the root computation reads only the
+    /// flags, and without this check any index with the same low bits
+    /// would verify too. The check runs before the WOTS recovery, which
+    /// is the expensive part.
     pub fn verify(&self, msg: &Digest, public_digest: &Digest) -> bool {
-        let path = &self.auth_path.path;
-        if self.auth_path.index != self.leaf_index as usize
-            || path.len() >= 32
-            || self.leaf_index >> path.len() != 0
-            || path
-                .iter()
-                .enumerate()
-                .any(|(level, step)| step.sibling_on_left != (self.leaf_index >> level & 1 == 1))
+        if self.auth_path.index != self.leaf_index as usize || !self.auth_path.index_matches_path()
         {
             return false;
         }
@@ -304,9 +299,9 @@ mod tests {
         let mut kp = MssKeypair::from_seed([13u8; 32], 1);
         let msg = sha256(b"message");
         let mut sig = kp.sign(&msg).unwrap();
-        // Longer than any `u32` leaf index can need: rejected before the
-        // index bits are read, so the shift by the path length cannot
-        // overflow.
+        // Longer than the key's tree: rejected, and the index check
+        // bounds the path length before shifting by it, so the shift
+        // cannot overflow (see `MerkleProof::index_matches_path`).
         let step = sig.auth_path.path[0];
         sig.auth_path.path = vec![step; 40];
         assert!(!sig.verify(&msg, &kp.public_digest()));

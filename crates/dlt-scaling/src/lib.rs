@@ -14,10 +14,10 @@
 //! * [`plasma`] — a Plasma-style nested chain: an operator commits
 //!   only Merkle roots to the root chain, with fraud proofs slashing a
 //!   Byzantine operator's bond.
-//! * [`sharding`] — a K-shard network simulator with cross-shard
-//!   traffic (two-phase: debit in the source shard, credit in the
-//!   destination shard), measuring how throughput scales with K and
-//!   degrades with the cross-shard fraction.
+//! * [`sharding`] — the analytic throughput ceiling `K·C / (1 + f)` of
+//!   K shards with cross-shard traffic (two-phase: debit in the source
+//!   shard, credit in the destination shard). The measured side is
+//!   `dlt-bench::shardnet`, which runs K shard simulations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,4 +27,4 @@ pub mod plasma;
 pub mod sharding;
 
 pub use channels::{Channel, ChannelError, ChannelNetwork};
-pub use sharding::{ShardedNetwork, ShardingParams};
+pub use sharding::ShardingParams;

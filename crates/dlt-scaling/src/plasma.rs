@@ -278,13 +278,16 @@ impl PlasmaChain {
             .commitments
             .get(child_height as usize)
             .ok_or(PlasmaError::UnknownCommitment)?;
-        if !proof.verify(&commitment.root, &tx.id()) {
+        let block = &self.blocks[child_height as usize];
+        // `verify` binds the index to the path. A path can still name
+        // the phantom slot after an odd level's last node (that node is
+        // paired with itself), so the index must also lie in the block.
+        if proof.index >= block.len() || !proof.verify(&commitment.root, &tx.id()) {
             return Err(PlasmaError::BadProof);
         }
         // Replay the committed block prefix over the pre-block snapshot
         // to find the sender's balance at the tx's position.
         let mut state = self.snapshots[child_height as usize].clone();
-        let block = &self.blocks[child_height as usize];
         for (i, prior) in block.iter().enumerate() {
             if i == proof.index {
                 break;
@@ -447,6 +450,49 @@ mod tests {
             plasma.prove_fraud(0, fake, &proof),
             Err(PlasmaError::BadProof)
         );
+    }
+
+    #[test]
+    fn proof_with_rewritten_index_cannot_slash_honest_operator() {
+        // Honest block: bob can pay carol only because alice paid him
+        // first. Moving bob's payment to index 0 would make it look
+        // unfunded, so the rewritten proof must not verify.
+        let mut plasma = PlasmaChain::new(1_000);
+        plasma.deposit(user("alice"), 10).unwrap();
+        plasma.submit(user("alice"), user("bob"), 10).unwrap();
+        plasma.submit(user("bob"), user("carol"), 10).unwrap();
+        plasma.commit_block().unwrap();
+        let (tx, mut proof) = plasma.build_fraud_proof(0, 1).unwrap();
+        proof.index = 0;
+        assert_eq!(
+            plasma.prove_fraud(0, tx, &proof),
+            Err(PlasmaError::BadProof)
+        );
+        assert!(!plasma.is_halted());
+        assert_eq!(plasma.operator_bond(), 1_000);
+    }
+
+    #[test]
+    fn proof_naming_the_duplicated_slot_is_rejected() {
+        // Three txs: the last leaf is paired with itself, so a path
+        // whose flags spell index 3 folds to the same root. Replaying
+        // "up to index 3" would replay carol's own payment first and
+        // make it look unfunded.
+        let mut plasma = PlasmaChain::new(1_000);
+        plasma.deposit(user("alice"), 10).unwrap();
+        plasma.submit(user("alice"), user("bob"), 10).unwrap();
+        plasma.submit(user("bob"), user("carol"), 10).unwrap();
+        plasma.submit(user("carol"), user("dave"), 10).unwrap();
+        plasma.commit_block().unwrap();
+        let (tx, mut proof) = plasma.build_fraud_proof(0, 2).unwrap();
+        proof.index = 3;
+        proof.path[0].sibling_on_left = true;
+        assert!(proof.verify(&plasma.commitments[0].root, &tx.id()));
+        assert_eq!(
+            plasma.prove_fraud(0, tx, &proof),
+            Err(PlasmaError::BadProof)
+        );
+        assert!(!plasma.is_halted());
     }
 
     #[test]

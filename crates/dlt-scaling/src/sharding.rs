@@ -1,4 +1,4 @@
-//! A sharding simulator (paper §VI-A).
+//! The analytic sharding model (paper §VI-A).
 //!
 //! "Sharding splits the network in K partitions, no longer forcing all
 //! nodes in the network to process all incoming transactions. Every
@@ -13,12 +13,9 @@
 //! outbound receipt) and then one unit in the destination shard
 //! (credit), the standard two-phase scheme. Aggregate throughput
 //! therefore scales with K but degrades with the cross-shard fraction
-//! `f` as roughly `K·C / (1 + f)` — the curve experiment `e13`
-//! reproduces.
-
-use std::collections::VecDeque;
-
-use dlt_sim::rng::SimRng;
+//! `f` as `K·C / (1 + f)`. Experiment `e13` prints this ceiling next
+//! to the throughput it measures by running K shard simulations
+//! (`dlt-bench::shardnet`).
 
 /// Sharded-network parameters.
 #[derive(Debug, Clone, Copy)]
@@ -40,271 +37,24 @@ impl ShardingParams {
     }
 }
 
-/// A transaction phase queued at a shard.
-#[derive(Debug, Clone, Copy)]
-enum Phase {
-    /// Local-only transaction: completes when processed.
-    Local,
-    /// First phase of a cross-shard transaction: forwards to `dest`.
-    CrossDebit {
-        /// Destination shard.
-        dest: usize,
-    },
-    /// Second phase: completes when processed.
-    CrossCredit,
-}
-
-#[derive(Debug, Default)]
-struct Shard {
-    queue: VecDeque<Phase>,
-    /// Inbound second-phase credits; processed with priority so
-    /// in-flight cross-shard transactions complete instead of starving
-    /// behind a saturated debit backlog (production sharding designs
-    /// prioritise inbound receipts the same way).
-    inbound: VecDeque<Phase>,
-    /// Fractional work-capacity carry-over between steps.
-    credit: f64,
-    processed_units: u64,
-}
-
-/// The K-shard network.
-#[derive(Debug)]
-pub struct ShardedNetwork {
-    params: ShardingParams,
-    shards: Vec<Shard>,
-    completed: u64,
-    submitted: u64,
-}
-
-impl ShardedNetwork {
-    /// Creates the network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`, the rate is non-positive, or the
-    /// cross-shard fraction is outside `[0, 1]`.
-    pub fn new(params: ShardingParams) -> Self {
-        assert!(params.shards > 0, "at least one shard");
-        assert!(params.per_shard_rate > 0.0, "positive shard rate");
-        assert!(
-            (0.0..=1.0).contains(&params.cross_shard_fraction),
-            "cross-shard fraction in [0, 1]"
-        );
-        ShardedNetwork {
-            shards: (0..params.shards).map(|_| Shard::default()).collect(),
-            params,
-            completed: 0,
-            submitted: 0,
-        }
-    }
-
-    /// The configuration.
-    pub fn params(&self) -> &ShardingParams {
-        &self.params
-    }
-
-    /// Transactions fully completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Transactions submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.submitted
-    }
-
-    /// Transactions still queued (any phase).
-    pub fn backlog(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.queue.len() + s.inbound.len())
-            .sum()
-    }
-
-    /// Submits `n` transactions with uniformly random home shards;
-    /// each becomes cross-shard with the configured probability.
-    pub fn submit(&mut self, n: u64, rng: &mut SimRng) {
-        let k = self.params.shards;
-        for _ in 0..n {
-            let home = rng.below(k as u64) as usize;
-            let phase = if k > 1 && rng.chance(self.params.cross_shard_fraction) {
-                let mut dest = rng.below(k as u64 - 1) as usize;
-                if dest >= home {
-                    dest += 1;
-                }
-                Phase::CrossDebit { dest }
-            } else {
-                Phase::Local
-            };
-            self.shards[home].queue.push_back(phase);
-            self.submitted += 1;
-        }
-    }
-
-    /// Advances simulated time by `dt_secs`: each shard consumes queue
-    /// entries up to its work budget; cross-shard debits hand their
-    /// credit phase to the destination shard (visible from the *next*
-    /// step, modelling the cross-shard message delay).
-    pub fn step(&mut self, dt_secs: f64) {
-        let mut handoffs: Vec<(usize, Phase)> = Vec::new();
-        for shard in self.shards.iter_mut() {
-            shard.credit += self.params.per_shard_rate * dt_secs;
-            while shard.credit >= 1.0 {
-                let Some(phase) = shard
-                    .inbound
-                    .pop_front()
-                    .or_else(|| shard.queue.pop_front())
-                else {
-                    break;
-                };
-                shard.credit -= 1.0;
-                shard.processed_units += 1;
-                match phase {
-                    Phase::Local | Phase::CrossCredit => self.completed += 1,
-                    Phase::CrossDebit { dest } => handoffs.push((dest, Phase::CrossCredit)),
-                }
-            }
-            // Idle shards don't bank unbounded credit.
-            if shard.queue.is_empty() && shard.inbound.is_empty() {
-                shard.credit = shard.credit.min(1.0);
-            }
-        }
-        for (dest, phase) in handoffs {
-            self.shards[dest].inbound.push_back(phase);
-        }
-    }
-
-    /// Runs a saturating workload for `duration_secs` at `offered_tps`
-    /// and returns the measured completed-transaction throughput.
-    pub fn run_saturated(&mut self, offered_tps: f64, duration_secs: f64, rng: &mut SimRng) -> f64 {
-        let dt = 0.1;
-        let mut time = 0.0;
-        let mut offered_accum = 0.0;
-        while time < duration_secs {
-            offered_accum += offered_tps * dt;
-            let whole = offered_accum.floor() as u64;
-            offered_accum -= whole as f64;
-            self.submit(whole, rng);
-            self.step(dt);
-            time += dt;
-        }
-        self.completed as f64 / duration_secs
-    }
-
-    /// Work units processed per shard (load-balance diagnostics).
-    pub fn processed_per_shard(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.processed_units).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn params(shards: usize, rate: f64, f: f64) -> ShardingParams {
-        ShardingParams {
-            shards,
-            per_shard_rate: rate,
-            cross_shard_fraction: f,
-        }
-    }
-
     #[test]
-    fn single_shard_processes_at_capacity() {
-        let mut net = ShardedNetwork::new(params(1, 100.0, 0.0));
-        let mut rng = SimRng::new(1);
-        let tps = net.run_saturated(1_000.0, 10.0, &mut rng);
-        assert!((tps - 100.0).abs() < 5.0, "tps {tps}");
-        assert!(net.backlog() > 0, "saturated: backlog builds");
-    }
-
-    #[test]
-    fn underload_completes_everything() {
-        let mut net = ShardedNetwork::new(params(4, 100.0, 0.1));
-        let mut rng = SimRng::new(2);
-        net.submit(50, &mut rng);
-        for _ in 0..100 {
-            net.step(0.1);
-        }
-        assert_eq!(net.completed(), 50);
-        assert_eq!(net.backlog(), 0);
-    }
-
-    #[test]
-    fn throughput_scales_with_shard_count() {
-        let mut rng = SimRng::new(3);
-        let tps_1 =
-            ShardedNetwork::new(params(1, 50.0, 0.0)).run_saturated(10_000.0, 10.0, &mut rng);
-        let tps_4 =
-            ShardedNetwork::new(params(4, 50.0, 0.0)).run_saturated(10_000.0, 10.0, &mut rng);
-        let tps_16 =
-            ShardedNetwork::new(params(16, 50.0, 0.0)).run_saturated(10_000.0, 10.0, &mut rng);
-        assert!(tps_4 > tps_1 * 3.5, "4 shards ≈ 4x: {tps_4} vs {tps_1}");
-        assert!(
-            tps_16 > tps_4 * 3.5,
-            "16 shards ≈ 4x of 4: {tps_16} vs {tps_4}"
-        );
-    }
-
-    #[test]
-    fn cross_shard_traffic_costs_throughput() {
-        let mut rng = SimRng::new(4);
-        let tps_f0 =
-            ShardedNetwork::new(params(8, 50.0, 0.0)).run_saturated(10_000.0, 20.0, &mut rng);
-        let tps_f30 =
-            ShardedNetwork::new(params(8, 50.0, 0.3)).run_saturated(10_000.0, 20.0, &mut rng);
-        let tps_f100 =
-            ShardedNetwork::new(params(8, 50.0, 1.0)).run_saturated(10_000.0, 20.0, &mut rng);
-        assert!(tps_f30 < tps_f0, "{tps_f30} < {tps_f0}");
-        // f=1 halves throughput (every tx costs two units).
-        assert!(
-            (tps_f100 / tps_f0 - 0.5).abs() < 0.1,
-            "f=1 ratio {}",
-            tps_f100 / tps_f0
-        );
-    }
-
-    #[test]
-    fn measured_tracks_theoretical() {
-        for (k, f) in [(2usize, 0.0), (4, 0.3), (8, 0.5)] {
-            let p = params(k, 40.0, f);
-            let mut rng = SimRng::new(5);
-            let measured = ShardedNetwork::new(p).run_saturated(100_000.0, 20.0, &mut rng);
-            let theory = p.theoretical_tps();
-            assert!(
-                (measured - theory).abs() / theory < 0.15,
-                "k={k} f={f}: measured {measured} vs theory {theory}"
-            );
-        }
-    }
-
-    #[test]
-    fn load_is_balanced_across_shards() {
-        let mut net = ShardedNetwork::new(params(4, 100.0, 0.2));
-        let mut rng = SimRng::new(6);
-        net.run_saturated(1_000.0, 20.0, &mut rng);
-        let per_shard = net.processed_per_shard();
-        let max = *per_shard.iter().max().unwrap() as f64;
-        let min = *per_shard.iter().min().unwrap() as f64;
-        assert!(min / max > 0.8, "balanced: {per_shard:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_rejected() {
-        ShardedNetwork::new(params(0, 1.0, 0.0));
-    }
-
-    #[test]
-    fn accounting_consistent() {
-        let mut net = ShardedNetwork::new(params(2, 10.0, 0.5));
-        let mut rng = SimRng::new(7);
-        net.submit(100, &mut rng);
-        for _ in 0..1000 {
-            net.step(0.1);
-        }
-        assert_eq!(net.submitted(), 100);
-        assert_eq!(net.completed(), 100);
-        assert_eq!(net.backlog(), 0);
+    fn theoretical_tps_scales_with_k_and_pays_the_cross_shard_tax() {
+        let tps = |shards, f| {
+            ShardingParams {
+                shards,
+                per_shard_rate: 50.0,
+                cross_shard_fraction: f,
+            }
+            .theoretical_tps()
+        };
+        assert_eq!(tps(1, 0.0), 50.0);
+        assert_eq!(tps(16, 0.0), 800.0);
+        // f = 1: every transaction costs two work units.
+        assert_eq!(tps(8, 1.0), 200.0);
+        assert!(tps(8, 0.3) < tps(8, 0.0));
     }
 }

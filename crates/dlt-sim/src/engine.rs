@@ -18,7 +18,9 @@
 //! [`Tracer`] (a no-op unless one is installed via
 //! [`Simulation::set_tracer`]), and every send consults the installed
 //! fault [`Interceptor`] (none by default — see
-//! [`Simulation::set_interceptor`]).
+//! [`Simulation::set_interceptor`]). Every dispatch is also folded into
+//! a running fingerprint, [`Simulation::dispatch_hash`], so two runs
+//! can be compared event for event without recording a trace.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -29,6 +31,7 @@ use crate::latency::LatencyModel;
 use crate::metrics::{CounterId, Metrics};
 use crate::network::{Network, NodeId};
 use crate::rng::SimRng;
+use crate::shard::mix;
 use crate::time::SimTime;
 use crate::trace::{EventKind, NoopTracer, TraceEvent, Tracer};
 
@@ -36,17 +39,6 @@ use crate::trace::{EventKind, NoopTracer, TraceEvent, Tracer};
 /// message once; every scheduled delivery and every relay hop shares
 /// that allocation.
 pub type Payload<M> = Rc<M>;
-
-/// Folds one value into the running det-sanitizer hash (SplitMix64
-/// finalizer — cheap and well mixed; this is a fingerprint, not a
-/// cryptographic digest).
-#[cfg(feature = "det-sanitizer")]
-fn det_fold(h: u64, v: u64) -> u64 {
-    let mut z = (h ^ v).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Behaviour of one simulated node.
 ///
@@ -146,13 +138,11 @@ struct Core<M> {
     // Fault-injection / replay hook; `None` keeps the send path on the
     // plain network-model branch.
     interceptor: Option<Box<dyn Interceptor>>,
-    // Runtime determinism sanitizer: every dispatched event is folded
-    // into this hash, so two runs of the same seeded workload can be
-    // compared event-for-event without recording a full trace.
-    #[cfg(feature = "det-sanitizer")]
+    // Dispatch fingerprint: every dispatched event is folded into this
+    // hash, so two runs of the same seeded workload can be compared
+    // event-for-event without recording a full trace.
     det_hash: u64,
     // Optional message fingerprint, folded per delivery when set.
-    #[cfg(feature = "det-sanitizer")]
     msg_digester: Option<fn(&M) -> u64>,
 }
 
@@ -322,9 +312,7 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
                 tracer: Box::new(NoopTracer),
                 tracing: false,
                 interceptor: None,
-                #[cfg(feature = "det-sanitizer")]
                 det_hash: 0,
-                #[cfg(feature = "det-sanitizer")]
                 msg_digester: None,
             },
         }
@@ -423,20 +411,6 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
         self.core.metrics
     }
 
-    /// The dispatch hash when the `det-sanitizer` feature is on, `0`
-    /// otherwise — lets feature-agnostic callers (the shard executor's
-    /// [`crate::shard::ShardReport`]) fold it unconditionally.
-    pub fn dispatch_hash_or_zero(&self) -> u64 {
-        #[cfg(feature = "det-sanitizer")]
-        {
-            self.core.det_hash
-        }
-        #[cfg(not(feature = "det-sanitizer"))]
-        {
-            0
-        }
-    }
-
     /// The simulation RNG (e.g. for workload generation).
     pub fn rng_mut(&mut self) -> &mut SimRng {
         &mut self.core.rng
@@ -505,23 +479,19 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
                 kind: scheduled.event.kind(),
             });
         }
-        #[cfg(feature = "det-sanitizer")]
-        {
-            let mut h = self.core.det_hash;
-            h = det_fold(h, scheduled.at.as_micros());
-            h = det_fold(h, scheduled.seq);
-            h = det_fold(
-                h,
-                match &scheduled.event {
-                    Event::Deliver { from, to, msg } => {
-                        let digest = self.core.msg_digester.map_or(0, |f| f(msg));
-                        det_fold(det_fold(det_fold(1, from.0 as u64), to.0 as u64), digest)
-                    }
-                    Event::Timer { node, id } => det_fold(det_fold(2, node.0 as u64), *id),
-                },
-            );
-            self.core.det_hash = h;
-        }
+        // Fold (time, seq, event) into the dispatch fingerprint.
+        let event = match &scheduled.event {
+            Event::Deliver { from, to, msg } => {
+                let digest = self.core.msg_digester.map_or(0, |f| f(msg));
+                mix(mix(mix(1, from.0 as u64), to.0 as u64), digest)
+            }
+            Event::Timer { node, id } => mix(mix(2, node.0 as u64), *id),
+        };
+        let h = mix(
+            mix(self.core.det_hash, scheduled.at.as_micros()),
+            scheduled.seq,
+        );
+        self.core.det_hash = mix(h, event);
         match scheduled.event {
             Event::Deliver { from, to, msg } => {
                 let mut ctx = Context {
@@ -572,21 +542,19 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
         self.core.queue.len()
     }
 
-    /// The running determinism-sanitizer hash: every dispatched event's
+    /// The running dispatch fingerprint: every dispatched event's
     /// `(time, seq, kind, node ids, msg digest)` folded in dispatch
     /// order. Two runs of the same seeded workload must produce the
     /// same value; a mismatch means nondeterminism slipped past the
     /// static lint (`dlt-lint`). Use `trace_diff` on two recorded
     /// traces to localize the first diverging event.
-    #[cfg(feature = "det-sanitizer")]
     pub fn dispatch_hash(&self) -> u64 {
         self.core.det_hash
     }
 
     /// Installs a per-message fingerprint function folded into the
-    /// sanitizer hash on every delivery (off by default: the hash then
+    /// dispatch hash on every delivery (off by default: the hash then
     /// covers timing, ordering, and routing but not payload bytes).
-    #[cfg(feature = "det-sanitizer")]
     pub fn set_msg_digester(&mut self, digester: fn(&M) -> u64) {
         self.core.msg_digester = Some(digester);
     }

@@ -8,8 +8,8 @@
 //! [`CounterId`] or [`SeriesId`]) and then update it through the
 //! handle, which is a plain array index — no string hashing or
 //! allocation per update. A name→id map is kept only for registration
-//! and rendering; string-keyed reads (and the `*_named` write
-//! wrappers) remain for cold paths such as report tables.
+//! and rendering; string-keyed reads remain for cold paths such as
+//! report tables. Writes always go through a handle.
 //!
 //! Each series also maintains a streaming log-linear histogram, so
 //! [`Metrics::percentile`] locates the bucket containing the requested
@@ -164,25 +164,6 @@ impl Metrics {
         }
         series.samples.push(value);
         series.hist.record(value);
-    }
-
-    /// Increments the named counter by one (cold-path convenience;
-    /// interns the name on first use).
-    pub fn inc_named(&mut self, name: &str) {
-        let id = self.counter(name);
-        self.inc(id);
-    }
-
-    /// Adds `n` to the named counter (cold-path convenience).
-    pub fn add_named(&mut self, name: &str, n: u64) {
-        let id = self.counter(name);
-        self.add(id, n);
-    }
-
-    /// Appends a sample to the named series (cold-path convenience).
-    pub fn record_named(&mut self, name: &str, value: f64) {
-        let id = self.series(name);
-        self.record(id, value);
     }
 
     /// Reads a counter by name (zero when never registered).
@@ -363,9 +344,10 @@ mod tests {
     fn counters_accumulate() {
         let mut m = Metrics::new();
         assert_eq!(m.count("blocks"), 0);
-        m.inc_named("blocks");
-        m.inc_named("blocks");
-        m.add_named("blocks", 3);
+        let blocks = m.counter("blocks");
+        m.inc(blocks);
+        m.inc(blocks);
+        m.add(blocks, 3);
         assert_eq!(m.count("blocks"), 5);
     }
 
@@ -376,9 +358,12 @@ mod tests {
         let lat = m.series("lat");
         m.inc(blocks);
         m.add(blocks, 2);
-        m.inc_named("blocks");
+        // Re-registering by name reaches the same slot.
+        let blocks_again = m.counter("blocks");
+        m.inc(blocks_again);
         m.record(lat, 1.5);
-        m.record_named("lat", 2.5);
+        let lat_again = m.series("lat");
+        m.record(lat_again, 2.5);
         assert_eq!(m.count("blocks"), 4);
         assert_eq!(m.counter_value(blocks), 4);
         assert_eq!(m.samples("lat"), &[1.5, 2.5]);
@@ -390,8 +375,9 @@ mod tests {
     #[test]
     fn series_statistics() {
         let mut m = Metrics::new();
+        let latency = m.series("latency");
         for v in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            m.record_named("latency", v);
+            m.record(latency, v);
         }
         assert_eq!(m.len("latency"), 5);
         assert_eq!(m.mean("latency"), Some(3.0));
@@ -420,15 +406,17 @@ mod tests {
         m.counter("pre.registered");
         m.series("pre.registered.series");
         assert!(m.is_empty());
-        m.inc_named("pre.registered");
+        let id = m.counter("pre.registered");
+        m.inc(id);
         assert!(!m.is_empty());
     }
 
     #[test]
     fn percentile_unsorted_input() {
         let mut m = Metrics::new();
+        let x = m.series("x");
         for v in [9.0, 1.0, 5.0, 3.0, 7.0] {
-            m.record_named("x", v);
+            m.record(x, v);
         }
         assert_eq!(m.percentile("x", 0.5), Some(5.0));
     }
@@ -442,8 +430,9 @@ mod tests {
             -1e9, -3.25, -3.24, -0.5, 0.0, 1e-12, 0.5, 1.0, 1.0, 2.0, 7.75, 7.76, 1e6, 1e6, 3e18,
         ];
         let mut m = Metrics::new();
+        let x = m.series("x");
         for v in values {
-            m.record_named("x", v);
+            m.record(x, v);
         }
         let mut sorted = values.to_vec();
         sorted.sort_by(f64::total_cmp);
@@ -460,10 +449,10 @@ mod tests {
     #[test]
     fn nan_samples_are_segregated_not_stored() {
         let mut m = Metrics::new();
-        m.record_named("x", 1.0);
-        m.record_named("x", f64::NAN);
-        m.record_named("x", 3.0);
-        m.record_named("x", f64::NAN);
+        let x = m.series("x");
+        for v in [1.0, f64::NAN, 3.0, f64::NAN] {
+            m.record(x, v);
+        }
         assert_eq!(m.len("x"), 2);
         assert_eq!(m.nan_dropped("x"), 2);
         // percentile no longer panics in the presence of bad samples.
@@ -475,12 +464,16 @@ mod tests {
     #[test]
     fn merge_combines() {
         let mut a = Metrics::new();
-        a.inc_named("n");
-        a.record_named("s", 1.0);
+        let n = a.counter("n");
+        a.inc(n);
+        let s = a.series("s");
+        a.record(s, 1.0);
         let mut b = Metrics::new();
-        b.add_named("n", 4);
-        b.record_named("s", 3.0);
-        b.record_named("s", f64::NAN);
+        let n = b.counter("n");
+        b.add(n, 4);
+        let s = b.series("s");
+        b.record(s, 3.0);
+        b.record(s, f64::NAN);
         a.merge(&b);
         assert_eq!(a.count("n"), 5);
         assert_eq!(a.len("s"), 2);
@@ -492,8 +485,10 @@ mod tests {
     #[test]
     fn display_is_nonempty() {
         let mut m = Metrics::new();
-        m.inc_named("events");
-        m.record_named("lat", 2.5);
+        let events = m.counter("events");
+        m.inc(events);
+        let lat = m.series("lat");
+        m.record(lat, 2.5);
         let text = m.to_string();
         assert!(text.contains("events: 1"));
         assert!(text.contains("lat:"));
@@ -503,7 +498,8 @@ mod tests {
     #[should_panic(expected = "quantile out of range")]
     fn percentile_validates_q() {
         let mut m = Metrics::new();
-        m.record_named("x", 1.0);
+        let x = m.series("x");
+        m.record(x, 1.0);
         let _ = m.percentile("x", 1.5);
     }
 }

@@ -1,12 +1,12 @@
 //! Property tests over chain, mempool, channel, sharding and tangle
 //! structures, on the in-repo `dlt_testkit::prop!` harness.
 
+use dlt_bench::shardnet::{run_cell, ShardNetParams};
 use dlt_blockchain::block::testsupport::{test_block, test_genesis, test_tx};
 use dlt_blockchain::chain::ChainStore;
 use dlt_blockchain::mempool::Mempool;
 use dlt_scaling::channels::{ChannelNetwork, ChannelPair};
-use dlt_scaling::sharding::{ShardedNetwork, ShardingParams};
-use dlt_sim::rng::SimRng;
+use dlt_sim::time::SimTime;
 use dlt_testkit::prop;
 
 prop! {
@@ -90,26 +90,28 @@ prop! {
 }
 
 prop! {
-    /// Sharding conserves transactions: submitted = completed + backlog.
-    fn sharding_conserves_transactions(g, cases = 48) {
-        let k = g.usize_in(1, 8);
-        let f = g.f64_in(0.0, 1.0);
-        let load = g.u64_in(1, 500);
-        let steps = g.usize_in(1, 50);
-        let mut net = ShardedNetwork::new(ShardingParams {
-            shards: k,
-            per_shard_rate: 20.0,
-            cross_shard_fraction: f,
-        });
-        let mut rng = SimRng::new(9);
-        net.submit(load, &mut rng);
-        for _ in 0..steps {
-            net.step(0.1);
-        }
-        assert!(net.completed() + net.backlog() as u64 >= net.submitted());
-        // (Cross-shard txs appear in backlog as one phase each; the
-        // inequality is ≥ because a cross tx mid-flight counts once.)
-        assert!(net.completed() <= net.submitted());
+    /// Sharding conserves transactions: every submitted transaction has
+    /// completed, is still queued at a validator, or is a cross-shard
+    /// debit from the final epoch with no barrier left to deliver it.
+    fn sharding_conserves_transactions(g, cases = 24) {
+        let params = ShardNetParams {
+            shards: g.usize_in(1, 8),
+            capacity: g.f64_in(10.0, 60.0),
+            cross_fraction: g.f64_in(0.0, 1.0),
+            offered_per_shard: g.f64_in(5.0, 120.0),
+            duration: g.f64_in(0.5, 3.0),
+            epoch_len: SimTime::from_millis(g.u64_in(100, 1_000)),
+            // Below the epoch length, so every exchanged credit reaches
+            // its validator before the run ends.
+            cross_latency: SimTime::from_millis(g.u64_below(100)),
+            replicas: g.usize_in(0, 3),
+            seed: g.any_u64(),
+        };
+        let out = run_cell(&params, 1);
+        let submitted = out.metrics.count("tx.submitted");
+        let backlog = out.metrics.count("tx.backlog");
+        assert_eq!(submitted, out.completed + backlog + out.undelivered);
+        assert_eq!(out.metrics.count("tx.cross_debits"), out.cross_messages + out.undelivered);
     }
 }
 
