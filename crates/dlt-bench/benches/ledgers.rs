@@ -2,6 +2,11 @@
 //! `dlt_testkit::bench` harness (`cargo bench --bench ledgers`).
 //! Results print to stderr and land in `results/bench_ledgers.json`.
 
+use std::hint::black_box;
+
+use dlt_blockchain::block::testsupport::{test_block, test_genesis, test_header, test_tx};
+use dlt_blockchain::block::{LedgerTx, SealedBlock};
+use dlt_blockchain::chain::ChainStore;
 use dlt_blockchain::pow::mine_real;
 use dlt_crypto::keys::Address;
 use dlt_crypto::Digest;
@@ -29,6 +34,33 @@ fn bench_pow(suite: &mut BenchSuite) {
         };
         nonce_salt += 1;
         mine_real(&mut header, 1_000_000).expect("mineable")
+    });
+}
+
+fn bench_chain(suite: &mut BenchSuite) {
+    // A sealed block's id was hashed when it was sealed; reading it is
+    // a copy. `block_header_id` is the hash itself.
+    let genesis = test_genesis();
+    let block = test_block(&genesis, 1, 1);
+    suite.bench("block_header_id", || black_box(&block).header.id());
+    suite.bench("block_id_sealed", || black_box(&block).id());
+
+    // A transaction's confirmations are one index lookup, however long
+    // the active chain.
+    let mut store = ChainStore::new(genesis.clone(), false);
+    let mut parent = genesis;
+    for height in 1..=1_000u64 {
+        let mut header = test_header(parent.id(), height, 1);
+        header.timestamp_micros = height;
+        let txs = (0..4).map(|i| test_tx(height * 4 + i, 1, 100)).collect();
+        let child = SealedBlock::new(header, txs);
+        store.insert(child.clone());
+        parent = child;
+    }
+    let early = test_tx(4, 1, 100).id();
+    assert_eq!(store.tx_confirmations(&early), Some(1_000));
+    suite.bench("tx_confirmations_1000_blocks", || {
+        store.tx_confirmations(black_box(&early))
     });
 }
 
@@ -86,6 +118,7 @@ fn bench_voting(suite: &mut BenchSuite) {
 fn main() {
     let mut suite = BenchSuite::new("ledgers");
     bench_pow(&mut suite);
+    bench_chain(&mut suite);
     bench_lattice(&mut suite);
     bench_voting(&mut suite);
     suite.finish();

@@ -63,10 +63,12 @@ fn main() {
 
     // Tamper detection via the Merkle root.
     let tip = btc.chain().tip();
-    let mut tampered = btc.chain().block(&tip).expect("tip").clone();
+    let mut tampered = btc.chain().block(&tip).expect("tip").clone().into_inner();
     if let Some(tx) = tampered.txs.get_mut(0) {
         tx.outputs[0].amount += 1;
     }
+    // A receiver seals what it got: the ids come from the edited bodies.
+    let tampered = tampered.seal();
     println!(
         "tampered block keeps valid merkle root: {}",
         tampered.merkle_root_valid()

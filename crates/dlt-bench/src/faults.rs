@@ -8,7 +8,7 @@
 //! run length and an `install` hook (the binary hangs its tracer on
 //! it; the tests pass a no-op).
 
-use dlt_blockchain::block::Block;
+use dlt_blockchain::block::{Block, SealedBlock};
 use dlt_blockchain::difficulty::RetargetParams;
 use dlt_blockchain::node::{MinerConfig, MinerNode, NetMsg};
 use dlt_blockchain::utxo::UtxoTx;
@@ -156,7 +156,7 @@ pub fn run_blockchain_scenario(
         sim.run_until(heal);
         let exchange_at = heal.saturating_add(SimTime::from_millis(1));
         for from in 0..MINERS {
-            let branch: Vec<Block<UtxoTx>> = sim
+            let branch: Vec<SealedBlock<UtxoTx>> = sim
                 .node(NodeId(from))
                 .chain()
                 .iter_active()

@@ -24,7 +24,7 @@ use dlt_crypto::sha256::{sha256, Sha256};
 use dlt_crypto::trie::TrieDb;
 use dlt_crypto::Digest;
 
-use crate::block::{Block, LedgerTx};
+use crate::block::{LedgerTx, SealedBlock};
 
 /// Gas charged to every transaction (Ethereum's `G_transaction`).
 pub const INTRINSIC_GAS: u64 = 21_000;
@@ -311,8 +311,9 @@ impl StateDb {
         self.set_account(root, address, state)
     }
 
-    /// Executes one transaction on `root`, returning the new root and
-    /// the receipt. The fee goes to `producer`.
+    /// Executes one transaction on `root`, returning the new root. The
+    /// fee goes to `producer`. Receipts are made per block, by
+    /// [`StateDb::apply_block`].
     ///
     /// # Errors
     ///
@@ -323,7 +324,7 @@ impl StateDb {
         root: Digest,
         tx: &AccountTx,
         producer: &Address,
-    ) -> Result<(Digest, Receipt), AccountError> {
+    ) -> Result<Digest, AccountError> {
         if self.verify_signatures && !tx.signature.verify(&tx.sighash(), &tx.from) {
             return Err(AccountError::BadSignature);
         }
@@ -354,15 +355,7 @@ impl StateDb {
 
         let mut producer_state = self.account(new_root, producer);
         producer_state.balance += fee;
-        new_root = self.set_account(new_root, producer, producer_state);
-
-        let receipt = Receipt {
-            tx_id: tx.id(),
-            success: true,
-            gas_used: tx.gas_used(),
-            cumulative_gas: 0, // filled by the block applier
-        };
-        Ok((new_root, receipt))
+        Ok(self.set_account(new_root, producer, producer_state))
     }
 
     /// Executes a block on `parent_root`: all transactions in order,
@@ -380,27 +373,18 @@ impl StateDb {
     pub fn apply_block(
         &mut self,
         parent_root: Digest,
-        block: &Block<AccountTx>,
+        block: &SealedBlock<AccountTx>,
         producer: &Address,
         block_reward: u64,
     ) -> Result<(Digest, Vec<Receipt>), AccountError> {
-        let gas_limit = block.header.gas_limit;
-        let mut gas_total = 0u64;
-        let mut root = parent_root;
-        let mut receipts = Vec::with_capacity(block.txs.len());
-        for tx in &block.txs {
-            gas_total += tx.gas_used();
-            if gas_limit > 0 && gas_total > gas_limit {
-                return Err(AccountError::BlockGasExceeded);
-            }
-            let (new_root, mut receipt) = self.apply_tx(root, tx, producer)?;
-            receipt.cumulative_gas = gas_total;
-            root = new_root;
-            receipts.push(receipt);
-        }
-        if block_reward > 0 {
-            root = self.credit(root, producer, block_reward);
-        }
+        let txs = block.txs.iter().zip(block.tx_ids().iter().copied());
+        let (root, receipts) = self.execute_txs(
+            parent_root,
+            block.header.gas_limit,
+            txs,
+            producer,
+            block_reward,
+        )?;
         if !block.header.state_root.is_zero() && block.header.state_root != root {
             return Err(AccountError::StateRootMismatch);
         }
@@ -408,6 +392,41 @@ impl StateDb {
             && block.header.receipts_root != receipts_root(&receipts)
         {
             return Err(AccountError::ReceiptsRootMismatch);
+        }
+        Ok((root, receipts))
+    }
+
+    /// Executes `txs`, each with its id, in order on `parent_root`
+    /// under `gas_limit` (0 = unlimited), then credits `block_reward`
+    /// to `producer`: [`StateDb::apply_block`] without the checks of
+    /// the header's commitments. Returns the post-state root and the
+    /// receipts.
+    pub(crate) fn execute_txs<'a>(
+        &mut self,
+        parent_root: Digest,
+        gas_limit: u64,
+        txs: impl IntoIterator<Item = (&'a AccountTx, Digest)>,
+        producer: &Address,
+        block_reward: u64,
+    ) -> Result<(Digest, Vec<Receipt>), AccountError> {
+        let mut gas_total = 0u64;
+        let mut root = parent_root;
+        let mut receipts = Vec::new();
+        for (tx, tx_id) in txs {
+            gas_total += tx.gas_used();
+            if gas_limit > 0 && gas_total > gas_limit {
+                return Err(AccountError::BlockGasExceeded);
+            }
+            root = self.apply_tx(root, tx, producer)?;
+            receipts.push(Receipt {
+                tx_id,
+                success: true,
+                gas_used: tx.gas_used(),
+                cumulative_gas: gas_total,
+            });
+        }
+        if block_reward > 0 {
+            root = self.credit(root, producer, block_reward);
         }
         Ok((root, receipts))
     }
@@ -556,7 +575,7 @@ mod tests {
         let tx = alice.transfer(bob, 100, 2);
         let fee = tx.fee();
         assert_eq!(fee, 2 * INTRINSIC_GAS);
-        let (root, receipt) = db.apply_tx(root, &tx, &producer()).unwrap();
+        let root = db.apply_tx(root, &tx, &producer()).unwrap();
         assert_eq!(db.account(root, &bob).balance, 100);
         assert_eq!(db.account(root, &producer()).balance, fee);
         assert_eq!(
@@ -564,8 +583,6 @@ mod tests {
             1_000_000 - 100 - fee
         );
         assert_eq!(db.account(root, &alice.address()).nonce, 1);
-        assert!(receipt.success);
-        assert_eq!(receipt.gas_used, INTRINSIC_GAS);
     }
 
     #[test]
@@ -596,8 +613,8 @@ mod tests {
             }
         );
         // In order works.
-        let (root, _) = db.apply_tx(root, &tx1, &producer()).unwrap();
-        let (_root, _) = db.apply_tx(root, &tx2, &producer()).unwrap();
+        let root = db.apply_tx(root, &tx1, &producer()).unwrap();
+        let _root = db.apply_tx(root, &tx2, &producer()).unwrap();
     }
 
     #[test]
@@ -606,7 +623,7 @@ mod tests {
         let mut alice = holder(5);
         let root = funded(&mut db, &alice, 1_000_000);
         let tx = alice.transfer(Address::from_label("b"), 10, 1);
-        let (root, _) = db.apply_tx(root, &tx, &producer()).unwrap();
+        let root = db.apply_tx(root, &tx, &producer()).unwrap();
         let err = db.apply_tx(root, &tx, &producer()).unwrap_err();
         assert!(matches!(err, AccountError::BadNonce { .. }));
     }
@@ -670,7 +687,7 @@ mod tests {
         let me = alice.address();
         let tx = alice.transfer(me, 300, 1);
         let fee = tx.fee();
-        let (root, _) = db.apply_tx(root, &tx, &producer()).unwrap();
+        let root = db.apply_tx(root, &tx, &producer()).unwrap();
         assert_eq!(db.account(root, &me).balance, 1_000_000 - fee);
         assert_eq!(db.account(root, &me).nonce, 1);
     }
@@ -685,12 +702,17 @@ mod tests {
         let txs = vec![alice.transfer(bob, 100, 1), alice.transfer(bob, 200, 1)];
         let mut h = header(sha256(b"parent").into(), 1);
         h.gas_limit = 1_000_000;
-        let block = Block::new(h, txs);
+        let block = SealedBlock::new(h, txs);
         let (root, receipts) = db
             .apply_block(genesis_root, &block, &producer(), 50)
             .unwrap();
         assert_eq!(db.account(root, &bob).balance, 300);
         assert_eq!(receipts.len(), 2);
+        for (receipt, tx) in receipts.iter().zip(&block.txs) {
+            assert_eq!(receipt.tx_id, tx.id());
+            assert!(receipt.success);
+            assert_eq!(receipt.gas_used, INTRINSIC_GAS);
+        }
         assert_eq!(receipts[1].cumulative_gas, 2 * INTRINSIC_GAS);
         // Producer got both fees plus the reward.
         assert_eq!(
@@ -716,7 +738,7 @@ mod tests {
         ];
         let mut h = header(sha256(b"p").into(), 1);
         h.gas_limit = INTRINSIC_GAS + 1; // only one tx fits
-        let block = Block::new(h, txs);
+        let block = SealedBlock::new(h, txs);
         assert_eq!(
             db.apply_block(root, &block, &producer(), 0).unwrap_err(),
             AccountError::BlockGasExceeded
@@ -732,7 +754,7 @@ mod tests {
         let mut h = header(sha256(b"p").into(), 1);
         h.gas_limit = 1_000_000;
         h.state_root = dlt_crypto::sha256::sha256(b"wrong root");
-        let block = Block::new(h, txs);
+        let block = SealedBlock::new(h, txs);
         assert_eq!(
             db.apply_block(root, &block, &producer(), 0).unwrap_err(),
             AccountError::StateRootMismatch
@@ -748,7 +770,7 @@ mod tests {
         let mut h = header(sha256(b"p").into(), 1);
         h.gas_limit = 1_000_000;
         h.receipts_root = dlt_crypto::sha256::sha256(b"wrong receipts");
-        let block = Block::new(h, txs);
+        let block = SealedBlock::new(h, txs);
         assert_eq!(
             db.apply_block(root, &block, &producer(), 0).unwrap_err(),
             AccountError::ReceiptsRootMismatch

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use dlt_crypto::keys::Address;
 use dlt_crypto::Digest;
 
-use crate::block::{Block, BlockHeader, LedgerTx};
+use crate::block::{BlockHeader, LedgerTx, SealedBlock};
 use crate::chain::{ChainError, ChainState, ChainStore, InsertOutcome};
 use crate::difficulty::RetargetParams;
 use crate::mempool::Mempool;
@@ -77,7 +77,7 @@ impl BitcoinChain {
             .collect();
         let mut coinbase = UtxoTx::coinbase(0, 0, Address::ZERO);
         coinbase.outputs = outputs;
-        let genesis = Block::new(
+        let genesis = SealedBlock::new(
             BlockHeader {
                 difficulty: 1,
                 ..BlockHeader::default()
@@ -143,7 +143,7 @@ impl BitcoinChain {
     ///
     /// Panics if mempool contents that were valid against the active
     /// ledger fail to apply (an internal-consistency bug).
-    pub fn mine_block(&mut self, miner: Address, timestamp_micros: u64) -> Block<UtxoTx> {
+    pub fn mine_block(&mut self, miner: Address, timestamp_micros: u64) -> SealedBlock<UtxoTx> {
         let parent_id = self.chain.tip();
         let parent = self.chain.header(&parent_id).expect("tip exists");
         let height = parent.height + 1;
@@ -155,9 +155,9 @@ impl BitcoinChain {
         let mut fees = 0u64;
         let candidates = self
             .mempool
-            .select_for_block(self.params.max_block_bytes.saturating_sub(200));
-        for tx in candidates {
-            let trial = Block::new(
+            .select_with_ids(self.params.max_block_bytes.saturating_sub(200));
+        for (id, tx) in candidates {
+            let trial = SealedBlock::new(
                 BlockHeader {
                     parent: parent_id,
                     height,
@@ -172,7 +172,7 @@ impl BitcoinChain {
                     txs.push(tx);
                 }
                 Err(_) => {
-                    self.mempool.remove_confirmed([tx.id()]);
+                    self.mempool.remove_confirmed([id]);
                 }
             }
         }
@@ -183,7 +183,7 @@ impl BitcoinChain {
             height,
             ..self.header_template(timestamp_micros)
         };
-        let block = Block::new(header, txs);
+        let block = SealedBlock::new(header, txs);
         self.receive_block(block.clone())
             .expect("locally assembled blocks are valid");
         block
@@ -207,7 +207,10 @@ impl BitcoinChain {
     /// violations (double spends, bad signatures) are rejected; in the
     /// latter case the offending block is expunged with its descendants
     /// and the ledger follows the best remaining branch.
-    pub fn receive_block(&mut self, block: Block<UtxoTx>) -> Result<InsertOutcome, BitcoinError> {
+    pub fn receive_block(
+        &mut self,
+        block: SealedBlock<UtxoTx>,
+    ) -> Result<InsertOutcome, BitcoinError> {
         let mut state = UtxoState {
             ledger: &mut self.ledger,
             undo: &mut self.undo,
@@ -237,16 +240,16 @@ struct UtxoState<'a> {
 impl ChainState<UtxoTx> for UtxoState<'_> {
     type Error = UtxoError;
 
-    fn apply(&mut self, id: &Digest, block: &Block<UtxoTx>) -> Result<(), UtxoError> {
+    fn apply(&mut self, block: &SealedBlock<UtxoTx>) -> Result<(), UtxoError> {
         let undo = self.ledger.apply_block(block, self.subsidy)?;
-        self.undo.insert(*id, undo);
+        self.undo.insert(block.id(), undo);
         Ok(())
     }
 
-    fn revert(&mut self, id: &Digest, _block: &Block<UtxoTx>) {
+    fn revert(&mut self, block: &SealedBlock<UtxoTx>) {
         let undo = self
             .undo
-            .remove(id)
+            .remove(&block.id())
             .expect("active blocks always have undo data");
         self.ledger.revert_block(undo);
     }
@@ -325,7 +328,7 @@ mod tests {
                 timestamp_micros: 2_000_000,
                 ..chain.header_template(0)
             };
-            Block::new(header, vec![UtxoTx::coinbase(1, 50, rival)])
+            SealedBlock::new(header, vec![UtxoTx::coinbase(1, 50, rival)])
         };
         let b2 = {
             let header = BlockHeader {
@@ -334,7 +337,7 @@ mod tests {
                 timestamp_micros: 3_000_000,
                 ..chain.header_template(0)
             };
-            Block::new(header, vec![UtxoTx::coinbase(2, 50, rival)])
+            SealedBlock::new(header, vec![UtxoTx::coinbase(2, 50, rival)])
         };
         chain.receive_block(b1).unwrap();
         let outcome = chain.receive_block(b2).unwrap();
@@ -371,7 +374,7 @@ mod tests {
                 timestamp_micros: 2_000_000,
                 ..chain.header_template(0)
             };
-            Block::new(header, vec![UtxoTx::coinbase(1, 50, attacker)])
+            SealedBlock::new(header, vec![UtxoTx::coinbase(1, 50, attacker)])
         };
         let a2 = {
             let header = BlockHeader {
@@ -380,7 +383,7 @@ mod tests {
                 timestamp_micros: 3_000_000,
                 ..chain.header_template(0)
             };
-            Block::new(
+            SealedBlock::new(
                 header,
                 vec![UtxoTx::coinbase(2, 50, attacker), tx.clone(), tx.clone()],
             )
@@ -410,9 +413,9 @@ mod tests {
         // Rival branch B1..B4 from genesis; B4 spends the payment's
         // input twice.
         let rival = Address::from_label("rival");
-        let mut branch: Vec<Block<UtxoTx>> = Vec::new();
+        let mut branch: Vec<SealedBlock<UtxoTx>> = Vec::new();
         for height in 1..=4u64 {
-            let parent = branch.last().map_or(genesis_id, Block::id);
+            let parent = branch.last().map_or(genesis_id, SealedBlock::id);
             let mut txs = vec![UtxoTx::coinbase(height, 50, rival)];
             if height == 4 {
                 txs.extend([tx.clone(), tx.clone()]);
@@ -422,9 +425,9 @@ mod tests {
                 height,
                 ..chain.header_template(10_000_000 + height)
             };
-            branch.push(Block::new(header, txs));
+            branch.push(SealedBlock::new(header, txs));
         }
-        let ids: Vec<Digest> = branch.iter().map(Block::id).collect();
+        let ids: Vec<Digest> = branch.iter().map(SealedBlock::id).collect();
 
         // Deliver B4, B3, B2 (orphans), then B1 connects the cascade.
         for block in branch.drain(1..).rev() {

@@ -9,6 +9,12 @@
 //!
 //! Transactions are abstracted by [`LedgerTx`] so the chain store,
 //! mempool and miner are shared between the UTXO and account models.
+//!
+//! Content ids are hashed once: a [`SealedBlock`] carries the block id
+//! and every transaction id, computed when it is built or received,
+//! and the chain machinery reads those instead of hashing again.
+
+use std::ops::Deref;
 
 use dlt_crypto::codec::{Decode, DecodeError, Encode};
 use dlt_crypto::keys::Address;
@@ -123,6 +129,10 @@ impl Decode for BlockHeader {
 }
 
 /// A block: header plus transaction list.
+///
+/// A plain block is data: it can be edited, and nothing vouches for
+/// its ids. The chain machinery takes [`SealedBlock`]s, which carry
+/// the ids computed from their own content.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block<T> {
     /// The block header.
@@ -132,19 +142,11 @@ pub struct Block<T> {
 }
 
 impl<T: LedgerTx> Block<T> {
-    /// Assembles a block over `txs` with the Merkle root precomputed.
-    /// Consensus fields (`difficulty`, `nonce`, …) start at the values
-    /// in `header` and are typically finalised by the miner.
-    pub fn new(mut header: BlockHeader, txs: Vec<T>) -> Self {
-        header.merkle_root = merkle_root(&txs.iter().map(LedgerTx::id).collect::<Vec<_>>());
-        Block { header, txs }
-    }
-
-    /// A transaction-less genesis block — the anchor for experiments
-    /// and network simulations that exercise chain structure without
-    /// ledger semantics.
-    pub fn empty_genesis() -> Self {
-        Block::new(
+    /// A sealed transaction-less genesis block — the anchor for
+    /// experiments and network simulations that exercise chain
+    /// structure without ledger semantics.
+    pub fn empty_genesis() -> SealedBlock<T> {
+        SealedBlock::new(
             BlockHeader {
                 difficulty: 1,
                 ..BlockHeader::default()
@@ -153,16 +155,16 @@ impl<T: LedgerTx> Block<T> {
         )
     }
 
-    /// The block identifier (the header hash).
-    pub fn id(&self) -> Digest {
-        self.header.id()
-    }
-
-    /// Recomputes the Merkle root from the transaction bodies and
-    /// compares it with the header (tamper check; paper Fig. 1).
-    pub fn merkle_root_valid(&self) -> bool {
-        let leaves: Vec<Digest> = self.txs.iter().map(LedgerTx::id).collect();
-        merkle_root(&leaves) == self.header.merkle_root
+    /// Seals the block as it is: hashes the header and every
+    /// transaction. The header's Merkle root is kept, so a block whose
+    /// bodies were edited fails [`SealedBlock::merkle_root_valid`].
+    pub fn seal(self) -> SealedBlock<T> {
+        let tx_ids = self.txs.iter().map(LedgerTx::id).collect();
+        SealedBlock {
+            id: self.header.id(),
+            tx_ids,
+            block: self,
+        }
     }
 
     /// Sum of transaction fees (the block producer's income beside the
@@ -179,6 +181,68 @@ impl<T: LedgerTx> Block<T> {
     /// Serialized size in bytes: header plus transaction bodies.
     pub fn size_bytes(&self) -> usize {
         self.header.size_bytes() + self.txs.iter().map(LedgerTx::encoded_size).sum::<usize>()
+    }
+}
+
+/// A block with its id and its transactions' ids, each computed once
+/// from the block's own content when it was sealed and never again.
+///
+/// The ids cannot go stale: the block is read through [`Deref`] and
+/// there is no mutable access, and no constructor takes an id from its
+/// caller — a receiver always computes them. To edit a block, take it
+/// out with [`SealedBlock::into_inner`] and seal it again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SealedBlock<T> {
+    block: Block<T>,
+    id: Digest,
+    tx_ids: Box<[Digest]>,
+}
+
+impl<T: LedgerTx> SealedBlock<T> {
+    /// Assembles a block over `txs` with the Merkle root computed over
+    /// their ids, and seals it; each transaction is hashed once.
+    /// Consensus fields (`difficulty`, `nonce`, …) are taken from
+    /// `header`.
+    pub fn new(mut header: BlockHeader, txs: Vec<T>) -> Self {
+        let tx_ids: Box<[Digest]> = txs.iter().map(LedgerTx::id).collect();
+        header.merkle_root = merkle_root(&tx_ids);
+        SealedBlock {
+            id: header.id(),
+            tx_ids,
+            block: Block { header, txs },
+        }
+    }
+}
+
+impl<T> SealedBlock<T> {
+    /// The block identifier (the header hash).
+    pub fn id(&self) -> Digest {
+        self.id
+    }
+
+    /// The transaction ids, in block order.
+    pub fn tx_ids(&self) -> &[Digest] {
+        &self.tx_ids
+    }
+
+    /// Whether the header's Merkle root commits to the transactions:
+    /// the root over the ids hashed from the bodies at sealing time
+    /// (tamper check; paper Fig. 1).
+    pub fn merkle_root_valid(&self) -> bool {
+        merkle_root(&self.tx_ids) == self.block.header.merkle_root
+    }
+
+    /// Gives up the ids and returns the plain block.
+    pub fn into_inner(self) -> Block<T> {
+        self.block
+    }
+}
+
+impl<T> Deref for SealedBlock<T> {
+    type Target = Block<T>;
+
+    fn deref(&self) -> &Block<T> {
+        &self.block
     }
 }
 
@@ -222,16 +286,20 @@ pub mod testsupport {
     }
 
     /// An empty test genesis block.
-    pub fn test_genesis() -> Block<TestTx> {
-        Block::new(test_header(Digest::ZERO, 0, 1), vec![])
+    pub fn test_genesis() -> SealedBlock<TestTx> {
+        SealedBlock::new(test_header(Digest::ZERO, 0, 1), vec![])
     }
 
     /// A child block of `parent` distinguished by `tag` with the given
     /// difficulty.
-    pub fn test_block(parent: &Block<TestTx>, tag: u64, difficulty: u64) -> Block<TestTx> {
+    pub fn test_block(
+        parent: &SealedBlock<TestTx>,
+        tag: u64,
+        difficulty: u64,
+    ) -> SealedBlock<TestTx> {
         let mut header = test_header(parent.id(), parent.header.height + 1, difficulty);
         header.timestamp_micros = tag;
-        Block::new(header, vec![test_tx(tag, 1, 100)])
+        SealedBlock::new(header, vec![test_tx(tag, 1, 100)])
     }
 
     /// A bare header with sane defaults.
@@ -351,16 +419,51 @@ mod tests {
     #[test]
     fn block_merkle_root_detects_tamper() {
         let txs: Vec<TestTx> = (0..5).map(TestTx::new).collect();
-        let mut block = Block::new(header(Digest::ZERO, 0), txs);
+        let block = SealedBlock::new(header(Digest::ZERO, 0), txs);
         assert!(block.merkle_root_valid());
-        block.txs[2].tag = 999;
-        assert!(!block.merkle_root_valid());
+        let mut tampered = block.into_inner();
+        tampered.txs[2].tag = 999;
+        assert!(!tampered.seal().merkle_root_valid());
+    }
+
+    #[test]
+    fn sealed_ids_match_a_fresh_hash_of_the_content() {
+        let txs: Vec<TestTx> = (0..5).map(TestTx::new).collect();
+        let block = SealedBlock::new(header(Digest::ZERO, 0), txs);
+        assert_eq!(block.id(), block.header.id());
+        let fresh: Vec<Digest> = block.txs.iter().map(LedgerTx::id).collect();
+        assert_eq!(block.tx_ids(), fresh.as_slice());
+        // Re-sealing an untouched block reproduces every id.
+        assert_eq!(block.clone().into_inner().seal(), block);
+    }
+
+    #[test]
+    fn resealed_tampered_block_is_rejected_by_the_store() {
+        use crate::chain::{BlockError, ChainStore, InsertOutcome};
+        let genesis = SealedBlock::new(header(Digest::ZERO, 0), vec![]);
+        let child = SealedBlock::new(header(genesis.id(), 1), vec![TestTx::new(1)]);
+        let mut store = ChainStore::new(genesis, false);
+
+        let mut wrong_root = child.clone().into_inner();
+        wrong_root.header.merkle_root = dlt_crypto::sha256::sha256(b"wrong");
+        let mut wrong_tx = child.clone().into_inner();
+        wrong_tx.txs[0].tag = 999;
+        for tampered in [wrong_root, wrong_tx] {
+            assert_eq!(
+                store.insert(tampered.seal()),
+                InsertOutcome::Rejected(BlockError::BadMerkleRoot)
+            );
+        }
+        assert!(matches!(
+            store.insert(child),
+            InsertOutcome::Extended { .. }
+        ));
     }
 
     #[test]
     fn block_aggregates() {
         let txs: Vec<TestTx> = (0..4).map(TestTx::new).collect();
-        let block = Block::new(header(Digest::ZERO, 0), txs);
+        let block = SealedBlock::new(header(Digest::ZERO, 0), txs);
         assert_eq!(block.total_fee(), 4);
         assert_eq!(block.total_weight(), 400);
         assert_eq!(block.size_bytes(), block.header.size_bytes() + 4 * 24);
@@ -368,15 +471,15 @@ mod tests {
 
     #[test]
     fn empty_block_is_fine() {
-        let block: Block<TestTx> = Block::new(header(Digest::ZERO, 0), vec![]);
+        let block: SealedBlock<TestTx> = SealedBlock::new(header(Digest::ZERO, 0), vec![]);
         assert!(block.merkle_root_valid());
         assert_eq!(block.total_weight(), 0);
     }
 
     #[test]
     fn block_id_depends_on_txs_via_merkle_root() {
-        let a = Block::new(header(Digest::ZERO, 0), vec![TestTx::new(1)]);
-        let b = Block::new(header(Digest::ZERO, 0), vec![TestTx::new(2)]);
+        let a = SealedBlock::new(header(Digest::ZERO, 0), vec![TestTx::new(1)]);
+        let b = SealedBlock::new(header(Digest::ZERO, 0), vec![TestTx::new(2)]);
         assert_ne!(a.id(), b.id());
     }
 }

@@ -18,14 +18,19 @@
 //! Every ledger that follows fork choice — a UTXO set, a state-root
 //! index, or just a miner's mempool — moves with the tip through one
 //! routine, `ChainStore::follow_tip`.
+//!
+//! The store holds [`SealedBlock`]s, so it reads block and transaction
+//! ids instead of hashing again, and it indexes the active chain's
+//! transactions by the height that first includes them, so a
+//! transaction's confirmation count is a lookup.
 
 use std::collections::BTreeMap;
 
 use dlt_crypto::Digest;
 
-use crate::block::{Block, BlockHeader, LedgerTx};
+use crate::block::{BlockHeader, LedgerTx, SealedBlock};
 use crate::mempool::Mempool;
-use crate::pow::pow_valid;
+use crate::pow::id_meets_difficulty;
 
 /// Why a block was rejected outright.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,26 +129,26 @@ pub(crate) trait ChainState<T> {
     /// Why a block failed semantic validation.
     type Error;
 
-    /// Moves the state from `block`'s parent onto `block` (`id` is its
-    /// id). On error the state must be left unchanged.
+    /// Moves the state from `block`'s parent onto `block`. On error
+    /// the state must be left unchanged.
     ///
     /// # Errors
     ///
     /// The block is semantically invalid on top of its parent.
-    fn apply(&mut self, id: &Digest, block: &Block<T>) -> Result<(), Self::Error>;
+    fn apply(&mut self, block: &SealedBlock<T>) -> Result<(), Self::Error>;
 
     /// Moves the state from `block` back onto its parent.
-    fn revert(&mut self, id: &Digest, block: &Block<T>);
+    fn revert(&mut self, block: &SealedBlock<T>);
 }
 
 impl<T> ChainState<T> for () {
     type Error = std::convert::Infallible;
 
-    fn apply(&mut self, _: &Digest, _: &Block<T>) -> Result<(), Self::Error> {
+    fn apply(&mut self, _: &SealedBlock<T>) -> Result<(), Self::Error> {
         Ok(())
     }
 
-    fn revert(&mut self, _: &Digest, _: &Block<T>) {}
+    fn revert(&mut self, _: &SealedBlock<T>) {}
 }
 
 /// What [`ChainStore::follow_tip`] did besides moving the state.
@@ -157,7 +162,7 @@ pub(crate) struct Followed<E> {
 }
 
 struct StoredBlock<T> {
-    block: Block<T>,
+    block: SealedBlock<T>,
     chainwork: u128,
     arrival: u64,
 }
@@ -167,14 +172,20 @@ const MAX_ORPHANS: usize = 1024;
 
 /// A store of all observed blocks with most-work fork choice.
 pub struct ChainStore<T> {
-    blocks: BTreeMap<Digest, StoredBlock<T>>,
+    /// Boxed: a map leaf reserves room for 11 values, so with blocks
+    /// stored inline each empty slot of a part-filled leaf would cost
+    /// a whole ~300-byte block.
+    blocks: BTreeMap<Digest, Box<StoredBlock<T>>>,
     children: BTreeMap<Digest, Vec<Digest>>,
     /// Orphans keyed by the missing parent id.
-    orphans: BTreeMap<Digest, Vec<Block<T>>>,
+    orphans: BTreeMap<Digest, Vec<SealedBlock<T>>>,
     orphan_arrivals: Vec<Digest>,
     /// Active chain by height: `active[h]` is the active block at
     /// height `h`.
     active: Vec<Digest>,
+    /// Every transaction on the active chain, mapped to the height of
+    /// the first active block that holds it. Moves with `active`.
+    tx_heights: BTreeMap<Digest, u64>,
     genesis: Digest,
     arrival_seq: u64,
     validate_pow: bool,
@@ -187,17 +198,18 @@ impl<T: LedgerTx> ChainStore<T> {
     ///
     /// Panics if `genesis` is not a genesis block (non-zero parent or
     /// non-zero height).
-    pub fn new(genesis: Block<T>, validate_pow: bool) -> Self {
+    pub fn new(genesis: SealedBlock<T>, validate_pow: bool) -> Self {
         assert!(genesis.header.is_genesis(), "genesis block required");
         let id = genesis.id();
+        let tx_heights = genesis.tx_ids().iter().map(|tx_id| (*tx_id, 0)).collect();
         let mut blocks = BTreeMap::new();
         blocks.insert(
             id,
-            StoredBlock {
+            Box::new(StoredBlock {
                 chainwork: u128::from(genesis.header.difficulty),
                 block: genesis,
                 arrival: 0,
-            },
+            }),
         );
         ChainStore {
             blocks,
@@ -205,6 +217,7 @@ impl<T: LedgerTx> ChainStore<T> {
             orphans: BTreeMap::new(),
             orphan_arrivals: Vec::new(),
             active: vec![id],
+            tx_heights,
             genesis: id,
             arrival_seq: 1,
             validate_pow,
@@ -227,7 +240,7 @@ impl<T: LedgerTx> ChainStore<T> {
     }
 
     /// The stored block for an id, if known.
-    pub fn block(&self, id: &Digest) -> Option<&Block<T>> {
+    pub fn block(&self, id: &Digest) -> Option<&SealedBlock<T>> {
         self.blocks.get(id).map(|s| &s.block)
     }
 
@@ -292,9 +305,9 @@ impl<T: LedgerTx> ChainStore<T> {
     ///
     /// [`confirmations`]: ChainStore::confirmations
     pub fn tx_confirmations(&self, tx_id: &Digest) -> Option<u64> {
-        self.iter_active()
-            .position(|block| block.txs.iter().any(|tx| tx.id() == *tx_id))
-            .map(|height| self.tip_height() - height as u64 + 1)
+        self.tx_heights
+            .get(tx_id)
+            .map(|height| self.tip_height() - height + 1)
     }
 
     /// Number of stored blocks *not* on the active chain — the
@@ -305,7 +318,7 @@ impl<T: LedgerTx> ChainStore<T> {
 
     /// Inserts a block, updating the tip if the block's branch now has
     /// the most accumulated work. Connects any waiting orphans.
-    pub fn insert(&mut self, block: Block<T>) -> InsertOutcome {
+    pub fn insert(&mut self, block: SealedBlock<T>) -> InsertOutcome {
         let id = block.id();
         if self.blocks.contains_key(&id) || self.is_pooled_orphan(&id) {
             return InsertOutcome::Duplicate;
@@ -316,7 +329,7 @@ impl<T: LedgerTx> ChainStore<T> {
         if !block.merkle_root_valid() {
             return InsertOutcome::Rejected(BlockError::BadMerkleRoot);
         }
-        if self.validate_pow && !pow_valid(&block.header) {
+        if self.validate_pow && !id_meets_difficulty(&id, block.header.difficulty) {
             return InsertOutcome::Rejected(BlockError::BadPow);
         }
         if !self.blocks.contains_key(&block.header.parent) {
@@ -339,7 +352,7 @@ impl<T: LedgerTx> ChainStore<T> {
             .any(|list| list.iter().any(|b| b.id() == *id))
     }
 
-    fn pool_orphan(&mut self, block: Block<T>) {
+    fn pool_orphan(&mut self, block: SealedBlock<T>) {
         let parent = block.header.parent;
         self.orphans.entry(parent).or_default().push(block);
         self.orphan_arrivals.push(parent);
@@ -358,7 +371,7 @@ impl<T: LedgerTx> ChainStore<T> {
 
     /// Connects a block whose parent is present; updates indexes and
     /// possibly the active chain.
-    fn connect(&mut self, block: Block<T>) -> Result<(), BlockError> {
+    fn connect(&mut self, block: SealedBlock<T>) -> Result<(), BlockError> {
         let parent = &self.blocks[&block.header.parent];
         if block.header.height != parent.block.header.height + 1 {
             return Err(BlockError::BadHeight);
@@ -370,11 +383,11 @@ impl<T: LedgerTx> ChainStore<T> {
         self.arrival_seq += 1;
         self.blocks.insert(
             id,
-            StoredBlock {
+            Box::new(StoredBlock {
                 block,
                 chainwork,
                 arrival,
-            },
+            }),
         );
         self.children.entry(parent_id).or_default().push(id);
 
@@ -411,15 +424,36 @@ impl<T: LedgerTx> ChainStore<T> {
         let mut cursor = new_tip;
         loop {
             let header = &self.blocks[&cursor].block.header;
-            let height = header.height as usize;
-            if self.active.get(height) == Some(&cursor) {
-                self.active.truncate(height + 1);
+            let (height, parent) = (header.height, header.parent);
+            if self.active_at(height) == Some(cursor) {
+                self.truncate_active(height);
                 break;
             }
             path.push(cursor);
-            cursor = header.parent;
+            cursor = parent;
         }
-        self.active.extend(path.into_iter().rev());
+        for id in path.into_iter().rev() {
+            let height = self.active.len() as u64;
+            for tx_id in self.blocks[&id].block.tx_ids() {
+                // A transaction already active lower down keeps its
+                // first height.
+                self.tx_heights.entry(*tx_id).or_insert(height);
+            }
+            self.active.push(id);
+        }
+    }
+
+    /// Cuts the active chain back to end at `height`, forgetting the
+    /// transactions first included above it. The cut blocks must still
+    /// be stored.
+    fn truncate_active(&mut self, height: u64) {
+        for id in self.active.drain(height as usize + 1..) {
+            for tx_id in self.blocks[&id].block.tx_ids() {
+                if self.tx_heights.get(tx_id).is_some_and(|&h| h > height) {
+                    self.tx_heights.remove(tx_id);
+                }
+            }
+        }
     }
 
     /// Describes how the tip moved relative to `old_tip`.
@@ -464,6 +498,10 @@ impl<T: LedgerTx> ChainStore<T> {
         if *id == self.genesis || !self.blocks.contains_key(id) {
             return Vec::new();
         }
+        // Leave the active chain before the subtree's blocks go.
+        if self.is_active(id) {
+            self.truncate_active(self.blocks[id].block.header.height - 1);
+        }
         // Collect the subtree rooted at `id`.
         let mut removed = Vec::new();
         let mut queue = vec![*id];
@@ -501,7 +539,7 @@ impl<T: LedgerTx> ChainStore<T> {
     /// and the state follows the best remaining branch.
     pub(crate) fn receive<S: ChainState<T>>(
         &mut self,
-        block: Block<T>,
+        block: SealedBlock<T>,
         state: &mut S,
         mempool: &mut Mempool<T>,
     ) -> Result<InsertOutcome, ChainError<S::Error>> {
@@ -568,12 +606,12 @@ impl<T: LedgerTx> ChainStore<T> {
             let fork_height = self.blocks[&fork].block.header.height as usize;
             for &id in &self.active[fork_height + 1..] {
                 let block = &self.blocks[&id].block;
-                if let Err(error) = state.apply(&id, block) {
+                if let Err(error) = state.apply(block) {
                     followed.rejected.get_or_insert((id, error));
                     doomed = Some(id);
                     break;
                 }
-                mempool.remove_confirmed(block.txs.iter().map(LedgerTx::id));
+                mempool.remove_confirmed(block.tx_ids().iter().copied());
                 at = id;
             }
         }
@@ -590,7 +628,7 @@ impl<T: LedgerTx> ChainStore<T> {
     ) {
         while *at != to {
             let block = &self.blocks[at].block;
-            state.revert(at, block);
+            state.revert(block);
             mempool.reinstate(block.txs.iter().filter(|tx| !tx.is_coinbase()).cloned());
             *at = block.header.parent;
         }
@@ -618,7 +656,7 @@ impl<T: LedgerTx> ChainStore<T> {
     }
 
     /// Iterates the active chain's blocks, genesis first.
-    pub fn iter_active(&self) -> impl Iterator<Item = &Block<T>> {
+    pub fn iter_active(&self) -> impl Iterator<Item = &SealedBlock<T>> {
         self.active.iter().map(|id| &self.blocks[id].block)
     }
 
@@ -635,20 +673,20 @@ mod tests {
 
     type TestChain = ChainStore<TestTx>;
 
-    fn genesis() -> Block<TestTx> {
-        Block::new(header(Digest::ZERO, 0), vec![])
+    fn genesis() -> SealedBlock<TestTx> {
+        SealedBlock::new(header(Digest::ZERO, 0), vec![])
     }
 
     /// Builds a child of `parent` with a distinguishing tag tx.
-    fn child_of(parent: &Block<TestTx>, tag: u64) -> Block<TestTx> {
+    fn child_of(parent: &SealedBlock<TestTx>, tag: u64) -> SealedBlock<TestTx> {
         let mut h = header(parent.id(), parent.header.height + 1);
         h.timestamp_micros = tag;
-        Block::new(h, vec![TestTx::new(tag)])
+        SealedBlock::new(h, vec![TestTx::new(tag)])
     }
 
     /// Builds a child of the block with `parent_id`, which must already
     /// be in the store.
-    fn child(store: &TestChain, parent_id: Digest, tag: u64) -> Block<TestTx> {
+    fn child(store: &TestChain, parent_id: Digest, tag: u64) -> SealedBlock<TestTx> {
         child_of(store.block(&parent_id).expect("parent exists"), tag)
     }
 
@@ -794,7 +832,7 @@ mod tests {
         let (mut s, gid) = store();
         let mut h = header(gid, 5); // parent is at height 0
         h.timestamp_micros = 1;
-        let bad = Block::new(h, vec![]);
+        let bad = SealedBlock::new(h, vec![]);
         assert_eq!(
             s.insert(bad),
             InsertOutcome::Rejected(BlockError::BadHeight)
@@ -804,10 +842,10 @@ mod tests {
     #[test]
     fn bad_merkle_root_rejected() {
         let (mut s, gid) = store();
-        let mut b = child(&s, gid, 1);
+        let mut b = child(&s, gid, 1).into_inner();
         b.header.merkle_root = dlt_crypto::sha256::sha256(b"wrong");
         assert_eq!(
-            s.insert(b),
+            s.insert(b.seal()),
             InsertOutcome::Rejected(BlockError::BadMerkleRoot)
         );
     }
@@ -817,7 +855,7 @@ mod tests {
         let (mut s, _gid) = store();
         let mut h = header(Digest::ZERO, 0);
         h.timestamp_micros = 42;
-        let g2 = Block::new(h, vec![TestTx::new(1)]);
+        let g2 = SealedBlock::new(h, vec![TestTx::new(1)]);
         assert_eq!(
             s.insert(g2),
             InsertOutcome::Rejected(BlockError::UnexpectedGenesis)
@@ -831,15 +869,18 @@ mod tests {
         let mut s = ChainStore::new(g, true);
         let mut h = header(gid, 1);
         h.difficulty = u64::MAX; // unminable
-        let b = Block::new(h, vec![]);
+        let b = SealedBlock::new(h, vec![]);
         assert_eq!(s.insert(b), InsertOutcome::Rejected(BlockError::BadPow));
 
         // A genuinely mined block passes.
         let mut h2 = header(gid, 1);
         h2.difficulty = 16;
-        let mut b2 = Block::new(h2, vec![]);
+        let mut b2 = SealedBlock::new(h2, vec![]).into_inner();
         crate::pow::mine_real(&mut b2.header, 1_000_000).unwrap();
-        assert!(matches!(s.insert(b2), InsertOutcome::Extended { .. }));
+        assert!(matches!(
+            s.insert(b2.seal()),
+            InsertOutcome::Extended { .. }
+        ));
     }
 
     #[test]
@@ -860,7 +901,7 @@ mod tests {
         let mut hh = header(gid, 1);
         hh.timestamp_micros = 99;
         hh.difficulty = 100;
-        let heavy = Block::new(hh, vec![]);
+        let heavy = SealedBlock::new(hh, vec![]);
         let heavy_id = heavy.id();
         assert!(matches!(s.insert(heavy), InsertOutcome::Reorged { .. }));
         assert_eq!(s.tip(), heavy_id);
@@ -890,8 +931,53 @@ mod tests {
         let ids = [gid, b1.id(), b2.id()];
         s.insert(b1);
         s.insert(b2);
-        let walked: Vec<Digest> = s.iter_active().map(Block::id).collect();
+        let walked: Vec<Digest> = s.iter_active().map(SealedBlock::id).collect();
         assert_eq!(walked, ids);
+    }
+
+    #[test]
+    fn tx_confirmations_follow_reorg_and_invalidate() {
+        let (mut s, gid) = store();
+        let block = |parent: &SealedBlock<TestTx>, ts: u64, tags: &[u64]| {
+            let mut h = header(parent.id(), parent.header.height + 1);
+            h.timestamp_micros = ts;
+            SealedBlock::new(h, tags.iter().copied().map(TestTx::new).collect())
+        };
+        let tx = |tag: u64| TestTx::new(tag).id();
+        let g = s.block(&gid).expect("genesis").clone();
+        // Tx 1 is in a1 and again in a2; tx 7 is on both branches.
+        let a1 = block(&g, 1, &[7, 1]);
+        let a2 = block(&a1, 2, &[1, 2]);
+        let b1 = block(&g, 10, &[7]);
+        let b2 = block(&b1, 11, &[]);
+        let b3 = block(&b2, 12, &[3]);
+        let b1_id = b1.id();
+        s.insert(a1);
+        s.insert(a2);
+        assert_eq!(
+            s.tx_confirmations(&tx(1)),
+            Some(2),
+            "first inclusion counts"
+        );
+        assert_eq!(s.tx_confirmations(&tx(7)), Some(2));
+        assert_eq!(s.tx_confirmations(&tx(2)), Some(1));
+        assert_eq!(s.tx_confirmations(&tx(3)), None);
+
+        // The longer b branch takes over.
+        s.insert(b1);
+        s.insert(b2);
+        assert!(matches!(s.insert(b3), InsertOutcome::Reorged { .. }));
+        assert_eq!(s.tx_confirmations(&tx(7)), Some(3));
+        assert_eq!(s.tx_confirmations(&tx(1)), None);
+        assert_eq!(s.tx_confirmations(&tx(2)), None);
+        assert_eq!(s.tx_confirmations(&tx(3)), Some(1));
+
+        // Expunging it falls back onto the a branch.
+        assert_eq!(s.invalidate(&b1_id).len(), 3);
+        assert_eq!(s.tx_confirmations(&tx(7)), Some(2));
+        assert_eq!(s.tx_confirmations(&tx(1)), Some(2));
+        assert_eq!(s.tx_confirmations(&tx(2)), Some(1));
+        assert_eq!(s.tx_confirmations(&tx(3)), None);
     }
 
     #[test]

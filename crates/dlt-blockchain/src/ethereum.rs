@@ -25,7 +25,7 @@ use dlt_crypto::keys::Address;
 use dlt_crypto::Digest;
 
 use crate::account::{receipts_root, AccountError, AccountTx, Receipt, StateDb};
-use crate::block::{Block, BlockHeader, LedgerTx};
+use crate::block::{BlockHeader, SealedBlock};
 use crate::chain::{ChainError, ChainState, ChainStore, InsertOutcome};
 use crate::mempool::Mempool;
 
@@ -91,7 +91,7 @@ impl EthereumChain {
             gas_limit: params.initial_gas_limit,
             ..BlockHeader::default()
         };
-        let genesis = Block::new(genesis_header, vec![]);
+        let genesis = SealedBlock::new(genesis_header, vec![]);
         let genesis_id = genesis.id();
         let mut roots = BTreeMap::new();
         roots.insert(genesis_id, root);
@@ -168,7 +168,11 @@ impl EthereumChain {
     }
 
     /// Assembles, executes and stores a block on the current tip.
-    pub fn produce_block(&mut self, producer: Address, timestamp_micros: u64) -> Block<AccountTx> {
+    pub fn produce_block(
+        &mut self,
+        producer: Address,
+        timestamp_micros: u64,
+    ) -> SealedBlock<AccountTx> {
         let parent_id = self.chain.tip();
         let parent = self.chain.header(&parent_id).expect("tip exists").clone();
         let height = parent.height + 1;
@@ -178,15 +182,16 @@ impl EthereumChain {
         // Real Ethereum block building: per-sender queues in nonce
         // order, repeatedly taking the best-paying executable head.
         // Consider the whole pool — a capacity-bounded candidate subset
-        // would cut nonce chains arbitrarily and stall senders.
-        let candidates = self.mempool.select_for_block(u64::MAX);
-        let mut queues: BTreeMap<Address, Vec<AccountTx>> = BTreeMap::new();
-        for tx in candidates {
-            queues.entry(tx.sender()).or_default().push(tx);
+        // would cut nonce chains arbitrarily and stall senders. Each
+        // entry carries its id.
+        let candidates = self.mempool.select_with_ids(u64::MAX);
+        let mut queues: BTreeMap<Address, Vec<(Digest, AccountTx)>> = BTreeMap::new();
+        for (id, tx) in candidates {
+            queues.entry(tx.sender()).or_default().push((id, tx));
         }
         for queue in queues.values_mut() {
             // Highest nonce first so `pop()` yields the lowest.
-            queue.sort_by_key(|tx| std::cmp::Reverse(tx.nonce));
+            queue.sort_by_key(|(_, tx)| std::cmp::Reverse(tx.nonce));
         }
 
         let mut scratch_root = parent_root;
@@ -195,12 +200,12 @@ impl EthereumChain {
         // The best-paying head among all sender queues, each round.
         while let Some(best_sender) = queues
             .iter()
-            .filter_map(|(sender, queue)| queue.last().map(|tx| (*sender, tx)))
-            .max_by_key(|(_, tx)| (tx.gas_price, tx.id()))
+            .filter_map(|(sender, queue)| queue.last().map(|head| (*sender, head)))
+            .max_by_key(|(_, (id, tx))| (tx.gas_price, *id))
             .map(|(sender, _)| sender)
         {
             let queue = queues.get_mut(&best_sender).expect("sender has a queue");
-            let tx = queue.pop().expect("head exists");
+            let (id, tx) = queue.pop().expect("head exists");
             if gas_used + tx.gas_used() > gas_limit {
                 // No room for this sender's next nonce; its successors
                 // can't jump the queue either.
@@ -208,10 +213,10 @@ impl EthereumChain {
                 continue;
             }
             match self.state.apply_tx(scratch_root, &tx, &producer) {
-                Ok((root, _)) => {
+                Ok(root) => {
                     scratch_root = root;
                     gas_used += tx.gas_used();
-                    included.push(tx);
+                    included.push((id, tx));
                 }
                 Err(AccountError::BadNonce { expected, got }) if got > expected => {
                     // Nonce gap: a predecessor wasn't among this
@@ -224,7 +229,7 @@ impl EthereumChain {
                     // Genuinely unexecutable (stale nonce, bad funds,
                     // bad signature): evict it and skip everything
                     // stacked behind it for this block.
-                    self.mempool.remove_confirmed([tx.id()]);
+                    self.mempool.remove_confirmed([id]);
                     queues.remove(&best_sender);
                 }
             }
@@ -247,15 +252,19 @@ impl EthereumChain {
             proposer: producer,
             ..BlockHeader::default()
         };
-        // Compute roots on a trial block with zero commitments.
-        let trial = Block::new(header.clone(), included.clone());
         let (state_root, receipts) = self
             .state
-            .apply_block(parent_root, &trial, &producer, self.params.block_reward)
+            .execute_txs(
+                parent_root,
+                gas_limit,
+                included.iter().map(|(id, tx)| (tx, *id)),
+                &producer,
+                self.params.block_reward,
+            )
             .expect("locally selected transactions execute");
         header.state_root = state_root;
         header.receipts_root = receipts_root(&receipts);
-        let block = Block::new(header, included);
+        let block = SealedBlock::new(header, included.into_iter().map(|(_, tx)| tx).collect());
         self.receive_block(block.clone())
             .expect("locally assembled blocks validate");
         block
@@ -272,7 +281,7 @@ impl EthereumChain {
     /// descendants and the chain follows the best remaining branch.
     pub fn receive_block(
         &mut self,
-        block: Block<AccountTx>,
+        block: SealedBlock<AccountTx>,
     ) -> Result<InsertOutcome, EthereumError> {
         let mut execution = Execution {
             state: &mut self.state,
@@ -394,8 +403,9 @@ struct Execution<'a> {
 impl ChainState<AccountTx> for Execution<'_> {
     type Error = AccountError;
 
-    fn apply(&mut self, id: &Digest, block: &Block<AccountTx>) -> Result<(), AccountError> {
-        if self.roots.contains_key(id) {
+    fn apply(&mut self, block: &SealedBlock<AccountTx>) -> Result<(), AccountError> {
+        let id = block.id();
+        if self.roots.contains_key(&id) {
             return Ok(());
         }
         let parent_root = self.roots[&block.header.parent];
@@ -403,12 +413,12 @@ impl ChainState<AccountTx> for Execution<'_> {
         let (root, receipts) =
             self.state
                 .apply_block(parent_root, block, &producer, self.reward)?;
-        self.roots.insert(*id, root);
-        self.receipts.insert(*id, receipts);
+        self.roots.insert(id, root);
+        self.receipts.insert(id, receipts);
         Ok(())
     }
 
-    fn revert(&mut self, _id: &Digest, _block: &Block<AccountTx>) {}
+    fn revert(&mut self, _block: &SealedBlock<AccountTx>) {}
 }
 
 /// The result of a fast sync: everything a freshly syncing node holds.
@@ -418,7 +428,7 @@ pub struct FastSyncedNode {
     /// The state root at the pivot.
     pub pivot_root: Digest,
     /// Blocks from the pivot to the head.
-    pub blocks: Vec<Block<AccountTx>>,
+    pub blocks: Vec<SealedBlock<AccountTx>>,
     /// The pivot state's verified trie closure.
     pub trie: dlt_crypto::trie::TrieDb,
 }
@@ -441,6 +451,7 @@ impl FastSyncedNode {
 mod tests {
     use super::*;
     use crate::account::AccountHolder;
+    use crate::block::LedgerTx;
 
     fn setup(balance: u64) -> (EthereumChain, AccountHolder) {
         let alice = AccountHolder::from_seed([1u8; 32], 6);
@@ -567,7 +578,7 @@ mod tests {
                 gas_limit: 8_000_000,
                 proposer: rival,
             };
-            Block::new(header, vec![])
+            SealedBlock::new(header, vec![])
         };
         // Empty blocks still credit the reward, so compute roots via a
         // scratch state.
@@ -602,7 +613,7 @@ mod tests {
             gas_limit: 8_000_000,
             proposer: Address::from_label("liar"),
         };
-        let bad = Block::new(header, vec![]);
+        let bad = SealedBlock::new(header, vec![]);
         let bad_id = bad.id();
         let err = chain.receive_block(bad).unwrap_err();
         assert_eq!(
@@ -634,11 +645,11 @@ mod tests {
         let rival = Address::from_label("rival");
         let mut scratch = chain.state().clone();
         let mut root = chain.roots[&genesis_id];
-        let mut branch: Vec<Block<AccountTx>> = Vec::new();
+        let mut branch: Vec<SealedBlock<AccountTx>> = Vec::new();
         for height in 1..=4u64 {
             root = scratch.credit(root, &rival, chain.params().block_reward);
             let header = BlockHeader {
-                parent: branch.last().map_or(genesis_id, Block::id),
+                parent: branch.last().map_or(genesis_id, SealedBlock::id),
                 height,
                 state_root: if height == 4 {
                     dlt_crypto::sha256::sha256(b"lie")
@@ -651,9 +662,9 @@ mod tests {
                 proposer: rival,
                 ..BlockHeader::default()
             };
-            branch.push(Block::new(header, vec![]));
+            branch.push(SealedBlock::new(header, vec![]));
         }
-        let ids: Vec<Digest> = branch.iter().map(Block::id).collect();
+        let ids: Vec<Digest> = branch.iter().map(SealedBlock::id).collect();
 
         // Deliver B4, B3, B2 (orphans), then B1 connects the cascade.
         for block in branch.drain(1..).rev() {

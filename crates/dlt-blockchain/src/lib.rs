@@ -49,5 +49,5 @@ pub mod prune;
 pub mod spv;
 pub mod utxo;
 
-pub use block::{Block, BlockHeader};
+pub use block::{Block, BlockHeader, SealedBlock};
 pub use chain::{ChainStore, InsertOutcome};

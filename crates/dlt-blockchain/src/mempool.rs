@@ -55,9 +55,9 @@ impl<T: LedgerTx> Mempool<T> {
         self.txs.values().map(LedgerTx::weight).sum()
     }
 
-    /// Fee rate of a transaction: fee per weight unit.
-    fn fee_rate(tx: &T) -> f64 {
-        tx.fee() as f64 / tx.weight().max(1) as f64
+    /// Fee rate: fee per weight unit.
+    fn fee_rate(fee: u64, weight: u64) -> f64 {
+        fee as f64 / weight.max(1) as f64
     }
 
     /// Offers a transaction to the pool.
@@ -75,12 +75,12 @@ impl<T: LedgerTx> Mempool<T> {
             let Some((victim_id, victim_rate)) = self
                 .txs
                 .iter()
-                .map(|(id, t)| (*id, Self::fee_rate(t)))
+                .map(|(id, t)| (*id, Self::fee_rate(t.fee(), t.weight())))
                 .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN fee rates"))
             else {
                 return false;
             };
-            if Self::fee_rate(&tx) <= victim_rate {
+            if Self::fee_rate(tx.fee(), tx.weight()) <= victim_rate {
                 return false;
             }
             self.txs.remove(&victim_id);
@@ -110,22 +110,37 @@ impl<T: LedgerTx> Mempool<T> {
     /// until [confirmed](Mempool::remove_confirmed) — the block might
     /// lose a fork race.
     pub fn select_for_block(&self, capacity_weight: u64) -> Vec<T> {
-        let mut candidates: Vec<&T> = self.txs.values().collect();
+        self.select_with_ids(capacity_weight)
+            .into_iter()
+            .map(|(_, tx)| tx)
+            .collect()
+    }
+
+    /// [`Mempool::select_for_block`], each transaction with its id.
+    pub(crate) fn select_with_ids(&self, capacity_weight: u64) -> Vec<(Digest, T)> {
+        // Each candidate's weight and fee rate are computed once, not
+        // in the comparator; ids come from the map keys.
+        let mut candidates: Vec<(f64, u64, &Digest, &T)> = self
+            .txs
+            .iter()
+            .map(|(id, tx)| {
+                let weight = tx.weight();
+                (Self::fee_rate(tx.fee(), weight), weight, id, tx)
+            })
+            .collect();
         candidates.sort_by(|a, b| {
-            Self::fee_rate(b)
-                .partial_cmp(&Self::fee_rate(a))
+            b.0.partial_cmp(&a.0)
                 .expect("no NaN fee rates")
-                .then_with(|| a.id().cmp(&b.id()))
+                .then_with(|| a.2.cmp(b.2))
         });
         let mut out = Vec::new();
         let mut used = 0u64;
-        for tx in candidates {
-            let w = tx.weight();
-            if used + w > capacity_weight {
+        for (_, weight, id, tx) in candidates {
+            if used + weight > capacity_weight {
                 continue; // smaller later txs may still fit
             }
-            used += w;
-            out.push(tx.clone());
+            used += weight;
+            out.push((*id, tx.clone()));
         }
         out
     }

@@ -22,7 +22,7 @@ use dlt_sim::engine::{Context, Payload, SimNode};
 use dlt_sim::metrics::{CounterId, Metrics, SeriesId};
 use dlt_sim::network::NodeId;
 
-use crate::block::{Block, BlockHeader, LedgerTx};
+use crate::block::{BlockHeader, LedgerTx, SealedBlock};
 use crate::chain::{ChainStore, InsertOutcome};
 use crate::difficulty::{retarget, RetargetParams};
 use crate::mempool::Mempool;
@@ -32,8 +32,9 @@ use crate::pow::sample_mining_time;
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)] // blocks dominate gossip traffic by design
 pub enum NetMsg<T> {
-    /// A full block announcement.
-    Block(Block<T>),
+    /// A full block announcement, sealed: its ids were computed from
+    /// its content when it was built, so relays never re-hash it.
+    Block(SealedBlock<T>),
     /// A loose transaction.
     Tx(T),
 }
@@ -147,7 +148,7 @@ impl<T: LedgerTx> MinerNode<T> {
     /// Creates a node from the shared genesis block. PoW fields are
     /// not checked (the sampled back-end does not solve real puzzles);
     /// the `e04`/`e05` ablations cover real PoW separately.
-    pub fn new(genesis: Block<T>, config: MinerConfig<T>) -> Self {
+    pub fn new(genesis: SealedBlock<T>, config: MinerConfig<T>) -> Self {
         MinerNode {
             chain: ChainStore::new(genesis, false),
             mempool: Mempool::new(config.mempool_capacity),
@@ -263,7 +264,7 @@ impl<T: LedgerTx> MinerNode<T> {
             difficulty,
             ..BlockHeader::default()
         };
-        let block = Block::new(header, txs);
+        let block = SealedBlock::new(header, txs);
         let id = block.id();
 
         let interval_secs = (ctx.now().as_micros() as f64 - parent.timestamp_micros as f64) / 1e6;
@@ -277,7 +278,7 @@ impl<T: LedgerTx> MinerNode<T> {
     }
 
     /// Integrates a block into the local chain and updates the mempool.
-    fn accept_block(&mut self, ctx: &mut Context<'_, NetMsg<T>>, block: Block<T>)
+    fn accept_block(&mut self, ctx: &mut Context<'_, NetMsg<T>>, block: SealedBlock<T>)
     where
         T: Clone,
     {
@@ -366,8 +367,8 @@ mod tests {
     use dlt_sim::latency::LatencyModel;
     use dlt_sim::time::SimTime;
 
-    fn genesis() -> Block<TestTx> {
-        Block::new(header(Digest::ZERO, 0), vec![])
+    fn genesis() -> SealedBlock<TestTx> {
+        SealedBlock::new(header(Digest::ZERO, 0), vec![])
     }
 
     fn quick_retarget() -> RetargetParams {

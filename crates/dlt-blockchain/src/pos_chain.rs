@@ -11,7 +11,7 @@ use dlt_crypto::keys::Address;
 use dlt_crypto::Digest;
 
 use crate::account::AccountTx;
-use crate::block::Block;
+use crate::block::SealedBlock;
 use crate::chain::InsertOutcome;
 use crate::ethereum::{EthereumChain, EthereumError, EthereumParams};
 use crate::pos::{
@@ -157,7 +157,7 @@ impl PosChain {
     /// # Errors
     ///
     /// [`PosChainError::NoValidators`] when no stake is deposited.
-    pub fn advance_slot(&mut self, slot: u64) -> Result<Block<AccountTx>, PosChainError> {
+    pub fn advance_slot(&mut self, slot: u64) -> Result<SealedBlock<AccountTx>, PosChainError> {
         let proposer = self
             .slot_proposer(slot)
             .ok_or(PosChainError::NoValidators)?;
@@ -228,7 +228,7 @@ impl PosChain {
     /// matter how long it is.
     pub fn receive_block(
         &mut self,
-        block: Block<AccountTx>,
+        block: SealedBlock<AccountTx>,
         slot: u64,
     ) -> Result<InsertOutcome, PosChainError> {
         let expected = self
@@ -456,9 +456,10 @@ mod tests {
             .chain()
             .block(&chain.chain().chain().tip())
             .unwrap()
-            .clone();
+            .clone()
+            .into_inner();
         second.header.timestamp_micros += 1;
-        let second = Block::new(second.header.clone(), second.txs.clone());
+        let second = second.seal();
         let second_id = second.id();
         match chain.receive_block(second, slot) {
             Err(PosChainError::Equivocation(evidence)) => {

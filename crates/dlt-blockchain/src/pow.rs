@@ -16,6 +16,7 @@
 //! The DESIGN.md ablation `e04`/`e05` checks that the two back-ends
 //! produce statistically indistinguishable block intervals.
 
+use dlt_crypto::Digest;
 use dlt_sim::rng::SimRng;
 use dlt_sim::time::SimTime;
 
@@ -25,10 +26,13 @@ use crate::difficulty::target_from_difficulty;
 /// Verifies a header's proof-of-work: its hash must be at or below the
 /// target implied by its difficulty field.
 pub fn pow_valid(header: &BlockHeader) -> bool {
-    header.difficulty > 0
-        && header
-            .id()
-            .meets_target(&target_from_difficulty(header.difficulty))
+    id_meets_difficulty(&header.id(), header.difficulty)
+}
+
+/// Whether a block id meets the target implied by `difficulty` (the
+/// check [`pow_valid`] makes, for a block whose id is already known).
+pub(crate) fn id_meets_difficulty(id: &Digest, difficulty: u64) -> bool {
+    difficulty > 0 && id.meets_target(&target_from_difficulty(difficulty))
 }
 
 /// Mines a header by real partial hash inversion: tries nonces
@@ -76,7 +80,6 @@ pub fn expected_attempts(difficulty: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::block::testutil::header;
-    use dlt_crypto::Digest;
 
     #[test]
     fn mining_at_difficulty_one_succeeds_immediately() {

@@ -24,7 +24,7 @@ use dlt_crypto::sha256::{double_sha256, Sha256};
 use dlt_crypto::Digest;
 use dlt_sim::rng::SimRng;
 
-use crate::block::{Block, LedgerTx};
+use crate::block::{LedgerTx, SealedBlock};
 
 /// A reference to one output of a prior transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -391,7 +391,7 @@ impl UtxoLedger {
     /// Any [`UtxoError`] leaves the ledger untouched.
     pub fn apply_block(
         &mut self,
-        block: &Block<UtxoTx>,
+        block: &SealedBlock<UtxoTx>,
         subsidy: u64,
     ) -> Result<BlockUndo, UtxoError> {
         // Validate first, then mutate: collect fees and stage changes.
@@ -399,7 +399,7 @@ impl UtxoLedger {
         let mut block_spent: BTreeSet<OutPoint> = BTreeSet::new();
         let mut fees = 0u64;
 
-        for (i, tx) in block.txs.iter().enumerate() {
+        for (i, (tx, &txid)) in block.txs.iter().zip(block.tx_ids()).enumerate() {
             if i == 0 {
                 if !tx.is_coinbase() {
                     return Err(UtxoError::CoinbaseMisplaced);
@@ -416,7 +416,6 @@ impl UtxoLedger {
                     block_spent.insert(input.outpoint);
                 }
             }
-            let txid = tx.id();
             for (index, output) in tx.outputs.iter().enumerate() {
                 block_created.insert(
                     OutPoint {
@@ -598,15 +597,18 @@ mod tests {
     use super::*;
     use crate::block::testutil::header;
 
-    fn genesis_with_funds(wallet: &mut Wallet, amount: u64) -> (Block<UtxoTx>, Address) {
+    fn genesis_with_funds(wallet: &mut Wallet, amount: u64) -> (SealedBlock<UtxoTx>, Address) {
         let address = wallet.new_address();
         let coinbase = UtxoTx::coinbase(0, amount, address);
-        (Block::new(header(Digest::ZERO, 0), vec![coinbase]), address)
+        (
+            SealedBlock::new(header(Digest::ZERO, 0), vec![coinbase]),
+            address,
+        )
     }
 
-    fn block_at(height: u64, txs: Vec<UtxoTx>) -> Block<UtxoTx> {
+    fn block_at(height: u64, txs: Vec<UtxoTx>) -> SealedBlock<UtxoTx> {
         let parent = dlt_crypto::sha256::sha256(&height.to_be_bytes());
-        Block::new(header(parent, height), txs)
+        SealedBlock::new(header(parent, height), txs)
     }
 
     #[test]
@@ -763,7 +765,7 @@ mod tests {
     fn coinbase_overpay_rejected() {
         let mut ledger = UtxoLedger::new();
         let coinbase = UtxoTx::coinbase(0, 1000, Address::from_label("greedy"));
-        let genesis = Block::new(header(Digest::ZERO, 0), vec![coinbase]);
+        let genesis = SealedBlock::new(header(Digest::ZERO, 0), vec![coinbase]);
         assert_eq!(
             ledger.apply_block(&genesis, 50),
             Err(UtxoError::CoinbaseOverpays)

@@ -13,7 +13,7 @@
 //! Run with `cargo run -p dlt-examples --bin exchange_double_spend`.
 
 use dlt_blockchain::bitcoin::{BitcoinChain, BitcoinParams};
-use dlt_blockchain::block::{Block, BlockHeader, LedgerTx};
+use dlt_blockchain::block::{BlockHeader, LedgerTx, SealedBlock};
 use dlt_blockchain::utxo::{UtxoTx, Wallet};
 use dlt_core::confidence::revert_probability;
 use dlt_crypto::keys::Address;
@@ -55,8 +55,8 @@ fn blockchain_attack() {
 
     // The attacker mines a private 2-block branch from genesis that
     // never contained the deposit.
-    let empty = |parent: Digest, height: u64, ts: u64| -> Block<UtxoTx> {
-        Block::new(
+    let empty = |parent: Digest, height: u64, ts: u64| -> SealedBlock<UtxoTx> {
+        SealedBlock::new(
             BlockHeader {
                 parent,
                 height,

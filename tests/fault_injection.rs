@@ -8,7 +8,7 @@
 //! double-spend race fought under 30% message loss (§IV-B). All faults
 //! are seed-driven: every run of this file sees the identical schedule.
 
-use dlt_blockchain::block::Block;
+use dlt_blockchain::block::{Block, SealedBlock};
 use dlt_blockchain::difficulty::RetargetParams;
 use dlt_blockchain::node::{MinerConfig, MinerNode, NetMsg};
 use dlt_blockchain::utxo::UtxoTx;
@@ -81,7 +81,7 @@ fn blockchain_converges_after_lossy_partition() {
     // which is the point — IBD is a reliable fetch, not gossip.
     let exchange_at = heal.saturating_add(SimTime::from_millis(1));
     for from in 0..4usize {
-        let branch: Vec<Block<UtxoTx>> = sim
+        let branch: Vec<SealedBlock<UtxoTx>> = sim
             .node(NodeId(from))
             .chain()
             .iter_active()

@@ -4,7 +4,9 @@
 use std::collections::HashMap;
 
 use dlt_blockchain::bitcoin::{BitcoinChain, BitcoinParams};
-use dlt_blockchain::block::{Block, BlockHeader, LedgerTx};
+use dlt_blockchain::block::testsupport::{test_header, test_tx, TestTx};
+use dlt_blockchain::block::{BlockHeader, LedgerTx, SealedBlock};
+use dlt_blockchain::chain::ChainStore;
 use dlt_blockchain::difficulty::{retarget, RetargetParams};
 use dlt_blockchain::utxo::{UtxoLedger, UtxoTx, Wallet};
 use dlt_crypto::codec::{decode_exact, Decode, Encode};
@@ -207,26 +209,35 @@ prop! {
 /// property below.
 const BRANCH_FUNDS: u64 = 1_000;
 
-/// A wallet holding the keys of the three funded genesis outputs, and
-/// the genesis allocations. Every call returns the same keys.
-fn funded_wallet() -> (Wallet, Vec<(Address, u64)>) {
+/// A wallet holding the keys of the three funded genesis outputs, a
+/// second wallet holding one more funded output, and the genesis
+/// allocations. Every call returns the same keys.
+fn funded_wallets() -> (Wallet, Wallet, Vec<(Address, u64)>) {
     let mut wallet = Wallet::new(1);
-    let allocations = (0..3)
+    let mut payer = Wallet::new(2);
+    let mut allocations: Vec<(Address, u64)> = (0..3)
         .map(|_| (wallet.new_address(), BRANCH_FUNDS))
         .collect();
-    (wallet, allocations)
+    allocations.push((payer.new_address(), BRANCH_FUNDS));
+    (wallet, payer, allocations)
 }
 
 /// Mines a branch from genesis on a private chain: block `i` carries a
-/// payment when `payments[i]`, and block `bad`, if any, is re-made with
-/// an overpaying coinbase (its descendants re-linked onto it). Branches
+/// payment when `payments[i]`, block `shared.0` also carries the
+/// transaction `shared.1`, and block `bad`, if any, is re-made with an
+/// overpaying coinbase (its descendants re-linked onto it). Branches
 /// built from the same wallet spend the same outputs, so two branches
 /// double-spend each other.
-fn bitcoin_branch(tag: u64, payments: &[bool], bad: Option<usize>) -> Vec<Block<UtxoTx>> {
-    let (mut wallet, allocations) = funded_wallet();
+fn bitcoin_branch(
+    tag: u64,
+    payments: &[bool],
+    shared: (usize, &UtxoTx),
+    bad: Option<usize>,
+) -> Vec<SealedBlock<UtxoTx>> {
+    let (mut wallet, _, allocations) = funded_wallets();
     let mut builder = BitcoinChain::new(BitcoinParams::default(), &allocations);
     let miner = Address::from_label(&format!("miner-{tag}"));
-    let mut blocks: Vec<Block<UtxoTx>> = Vec::new();
+    let mut blocks: Vec<SealedBlock<UtxoTx>> = Vec::new();
     for (i, pay) in payments.iter().enumerate() {
         let to = Address::from_label(&format!("shop-{tag}-{i}"));
         if let Some(tx) = pay
@@ -234,6 +245,9 @@ fn bitcoin_branch(tag: u64, payments: &[bool], bad: Option<usize>) -> Vec<Block<
             .flatten()
         {
             builder.submit_tx(tx);
+        }
+        if i == shared.0 {
+            builder.submit_tx(shared.1.clone());
         }
         blocks.push(builder.mine_block(miner, tag * 1_000 + i as u64));
     }
@@ -249,7 +263,7 @@ fn bitcoin_branch(tag: u64, payments: &[bool], bad: Option<usize>) -> Vec<Block<
                     parent,
                     ..block.header.clone()
                 };
-                *block = Block::new(header, txs);
+                *block = SealedBlock::new(header, txs);
             }
             parent = block.id();
         }
@@ -257,28 +271,83 @@ fn bitcoin_branch(tag: u64, payments: &[bool], bad: Option<usize>) -> Vec<Block<
     blocks
 }
 
+/// The linear-scan definition of `ChainStore::tx_confirmations`, over
+/// ids hashed afresh from the bodies: for every transaction on the
+/// active chain, the confirmations of the first active block holding
+/// it.
+fn scanned_confirmations<T: LedgerTx>(chain: &ChainStore<T>) -> HashMap<Digest, u64> {
+    let mut first = HashMap::new();
+    for (height, block) in chain.iter_active().enumerate() {
+        for tx in &block.txs {
+            first
+                .entry(tx.id())
+                .or_insert(chain.tip_height() - height as u64 + 1);
+        }
+    }
+    first
+}
+
+/// Asserts that the store's tx index agrees with the scan for every
+/// id in `ids`.
+fn assert_index_matches_scan<T: LedgerTx>(chain: &ChainStore<T>, ids: &[Digest]) {
+    let scanned = scanned_confirmations(chain);
+    for id in ids {
+        assert_eq!(
+            chain.tx_confirmations(id),
+            scanned.get(id).copied(),
+            "tx {} confirmations",
+            id.short()
+        );
+    }
+}
+
 prop! {
     /// Two competing Bitcoin-like branches, one possibly hiding an
     /// invalid block, delivered in any order: after every delivery the
-    /// UTXO set equals a fresh replay of the store's active chain, and
-    /// no active transaction is still pending.
+    /// UTXO set equals a fresh replay of the store's active chain, no
+    /// active transaction is still pending, and every transaction ever
+    /// seen — genesis allocations and a payment mined on both branches
+    /// included — has the confirmations a scan of the active chain
+    /// gives.
     fn bitcoin_ledger_follows_fork_choice(g, cases = 32) {
         let a_payments = g.vec_in(1, 5, Gen::any_bool);
         let b_payments = g.vec_in(1, 5, Gen::any_bool);
         let bad = g.option(|g| (g.any_bool(), g.usize_in(0, 4)));
+        let shared_at = (g.usize_in(0, 4), g.usize_in(0, 4));
         let bad_in = |in_a: bool, len: usize| {
             bad.filter(|(a, _)| *a == in_a).map(|(_, i)| i % len)
         };
-        let mut pending = bitcoin_branch(1, &a_payments, bad_in(true, a_payments.len()));
-        pending.extend(bitcoin_branch(2, &b_payments, bad_in(false, b_payments.len())));
+        let (_, mut payer, allocations) = funded_wallets();
+        let mut chain = BitcoinChain::new(BitcoinParams::default(), &allocations);
+        let shared = payer
+            .build_transfer(chain.ledger(), Address::from_label("both"), 25, 1)
+            .expect("the payer is funded");
+        let mut pending = bitcoin_branch(
+            1,
+            &a_payments,
+            (shared_at.0 % a_payments.len(), &shared),
+            bad_in(true, a_payments.len()),
+        );
+        pending.extend(bitcoin_branch(
+            2,
+            &b_payments,
+            (shared_at.1 % b_payments.len(), &shared),
+            bad_in(false, b_payments.len()),
+        ));
         let order = g.vec_of(pending.len(), Gen::any_usize);
 
         let recipients: Vec<Address> = pending
             .iter()
             .flat_map(|b| b.txs.iter().flat_map(|tx| tx.outputs.iter().map(|o| o.recipient)))
             .collect();
-        let (_, allocations) = funded_wallet();
-        let mut chain = BitcoinChain::new(BitcoinParams::default(), &allocations);
+        let genesis = chain.chain().block(&chain.chain().genesis()).expect("genesis");
+        let seen: Vec<Digest> = genesis
+            .txs
+            .iter()
+            .chain(pending.iter().flat_map(|b| &b.txs))
+            .map(LedgerTx::id)
+            .collect();
+        let total_funds: u64 = allocations.iter().map(|(_, v)| v).sum();
         for pick in order {
             let block = pending.remove(pick % pending.len());
             let _ = chain.receive_block(block);
@@ -286,11 +355,13 @@ prop! {
             let mut replay = UtxoLedger::new();
             for (height, block) in chain.chain().iter_active().enumerate() {
                 let subsidy = if height == 0 {
-                    3 * BRANCH_FUNDS
+                    total_funds
                 } else {
                     chain.params().subsidy
                 };
-                replay.apply_block(block, subsidy).expect("the active chain is valid");
+                // Re-sealing hashes the bodies afresh.
+                let resealed = block.clone().into_inner().seal();
+                replay.apply_block(&resealed, subsidy).expect("the active chain is valid");
                 for tx in &block.txs {
                     assert!(!chain.mempool().contains(&tx.id()), "active tx still pending");
                 }
@@ -300,6 +371,46 @@ prop! {
             assert_eq!(ledger.utxo_count(), replay.utxo_count());
             for address in allocations.iter().map(|(a, _)| a).chain(&recipients) {
                 assert_eq!(ledger.balance(address), replay.balance(address));
+            }
+            assert_index_matches_scan(chain.chain(), &seen);
+        }
+    }
+}
+
+prop! {
+    /// A random block tree over a small pool of transactions — so the
+    /// same transaction sits on competing branches and twice on one
+    /// chain — delivered in any order (orphans included) with random
+    /// invalidations in between: after every step the store's
+    /// `tx_confirmations` equals a scan of its active chain for every
+    /// transaction in the pool, genesis ones included.
+    fn chain_store_tx_index_matches_scan(g, cases = 48) {
+        const POOL: u64 = 8;
+        let genesis = SealedBlock::new(
+            test_header(Digest::ZERO, 0, 1),
+            vec![test_tx(0, 1, 1), test_tx(1, 1, 1)],
+        );
+        let mut tree = vec![genesis.clone()];
+        for i in 0..g.usize_in(1, 12) {
+            let parent = &tree[g.usize_in(0, tree.len())];
+            let mut header = test_header(parent.id(), parent.header.height + 1, g.u64_in(1, 4));
+            header.timestamp_micros = i as u64;
+            let txs = g.vec_in(0, 4, |g| test_tx(g.u64_below(POOL), 1, 1));
+            tree.push(SealedBlock::new(header, txs));
+        }
+        let ids: Vec<Digest> = (0..POOL).map(|tag| test_tx(tag, 1, 1).id()).collect();
+        let mut pending: Vec<SealedBlock<TestTx>> = tree.drain(1..).collect();
+        let known: Vec<Digest> = pending.iter().map(SealedBlock::id).collect();
+
+        let mut store = ChainStore::new(genesis, false);
+        assert_index_matches_scan(&store, &ids);
+        while !pending.is_empty() {
+            let block = pending.remove(g.usize_in(0, pending.len()));
+            let _ = store.insert(block);
+            assert_index_matches_scan(&store, &ids);
+            if g.u64_below(4) == 0 {
+                store.invalidate(&known[g.usize_in(0, known.len())]);
+                assert_index_matches_scan(&store, &ids);
             }
         }
     }

@@ -71,7 +71,9 @@ prop! {
     fn channels_conserve_capacity(g, cases = 48) {
         let payments = g.vec_in(1, 40, |g| (g.any_bool(), g.u64_in(1, 50)));
         let mut network = ChannelNetwork::new();
-        let mut pair = ChannelPair::open(&mut network, 5, 500, 500);
+        // Height-6 keys co-sign 64 updates: more than the at most 39
+        // payments and the close a case needs.
+        let mut pair = ChannelPair::open_with_capacity(&mut network, 5, 500, 500, 6);
         for (a_to_b, amount) in payments {
             let update = if a_to_b {
                 pair.pay_a_to_b(amount)
